@@ -10,13 +10,15 @@
 
 namespace pisa::bn {
 
-/// Greatest common divisor (Euclid).
-BigUint gcd(BigUint a, BigUint b);
+/// Greatest common divisor; gcd(0, x) = x. Division-free safegcd kernel.
+BigUint gcd(const BigUint& a, const BigUint& b);
 
 /// Least common multiple; lcm(0, x) = 0.
 BigUint lcm(const BigUint& a, const BigUint& b);
 
-/// a^{-1} mod m, if gcd(a, m) == 1; std::nullopt otherwise. m >= 2.
+/// a^{-1} mod m, if gcd(a, m) == 1; std::nullopt otherwise. m >= 2. Odd
+/// moduli (every protocol modulus) take the safegcd kernel, even ones a
+/// signed extended Euclid.
 std::optional<BigUint> mod_inverse(const BigUint& a, const BigUint& m);
 
 /// (a * b) mod m via full product + division. For hot paths with a fixed

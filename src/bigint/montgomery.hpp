@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "bigint/aligned_limbs.hpp"
 #include "bigint/biguint.hpp"
 
 namespace pisa::bn {
@@ -34,7 +35,8 @@ struct Ctx;  // radix-52 AVX-512 IFMA engine context (montgomery_ifma.cpp)
 
 /// Reusable scratch memory for Montgomery kernels. Buffers grow on demand
 /// and are never shrunk, so after the first call at a given modulus size
-/// every kernel runs with zero heap allocations. Not thread-safe: use one
+/// every kernel runs with zero heap allocations. Every slot starts on a
+/// cache line (AlignedLimbs). Not thread-safe: use one
 /// workspace per thread (Montgomery::tls_workspace() hands out a
 /// thread_local instance when the caller does not manage its own).
 class MontgomeryWorkspace {
@@ -50,6 +52,13 @@ class MontgomeryWorkspace {
     std::size_t total = 0;
     for (const auto& b : bufs_) total += b.capacity();
     return total;
+  }
+
+  /// Number of scratch slots and each one's base address (observability /
+  /// tests; null until a kernel first sizes the slot).
+  static constexpr std::size_t slot_count() { return kSlotCount; }
+  const std::uint64_t* slot_data(std::size_t s) const {
+    return bufs_[s].data();
   }
 
  private:
@@ -71,7 +80,7 @@ class MontgomeryWorkspace {
     return b.data();
   }
 
-  std::array<std::vector<std::uint64_t>, kSlotCount> bufs_;
+  std::array<AlignedLimbs, kSlotCount> bufs_;
 };
 
 /// Precomputed context for arithmetic modulo a fixed odd modulus.
@@ -103,6 +112,10 @@ class Montgomery {
 
   /// True when this context runs the AVX-512 IFMA radix-52 kernels.
   bool uses_ifma() const { return ifma_ != nullptr; }
+
+  /// The radix-52 engine context (null on the scalar backend); its layout is
+  /// internal to montgomery_ifma.hpp (observability / tests).
+  const ifma::Ctx* ifma_context() const { return ifma_.get(); }
 
   /// The calling thread's lazily-created scratch workspace.
   static MontgomeryWorkspace& tls_workspace();
@@ -228,7 +241,7 @@ class FixedBaseTable {
   std::size_t row_limbs_;  // residue width of one row (k, or k52 under IFMA)
   // table_[i * digits_ + (j - 1)] = native mont form of base^(j * 2^(w*i)),
   // flattened into one contiguous buffer of row_limbs_-limb rows.
-  std::vector<Montgomery::Limb> table_;
+  AlignedLimbs table_;
 };
 
 }  // namespace pisa::bn

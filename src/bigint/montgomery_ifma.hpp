@@ -7,12 +7,13 @@
 // canonicalization, so results leaving this engine are bit-identical to the
 // scalar backend.
 //
-// Only montgomery.cpp includes this header.
+// Only montgomery.cpp (and the kernel tests) include this header.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "bigint/aligned_limbs.hpp"
 
 namespace pisa::bn::ifma {
 
@@ -24,14 +25,20 @@ bool available();
 struct Ctx {
   std::size_t k52 = 0;        // 52-bit limb count, multiple of 8
   std::uint64_t n0inv52 = 0;  // -n^{-1} mod 2^52
-  std::vector<std::uint64_t> n52;    // modulus
-  std::vector<std::uint64_t> r2_52;  // R52^2 mod n (mont form of R52)
-  std::vector<std::uint64_t> one52;  // R52 mod n (mont form of 1)
+  AlignedLimbs n52;    // modulus
+  AlignedLimbs r2_52;  // R52^2 mod n (mont form of R52)
+  AlignedLimbs one52;  // R52 mod n (mont form of 1)
 };
 
+/// Widest modulus, in 8-lane vectors (k52 / 8), that amm() runs with the
+/// accumulator held in registers: 10 covers 4096-bit moduli (Paillier's
+/// n² at 2048-bit keys). Wider moduli take a memory-resident scan.
+inline constexpr std::size_t kMaxRegisterVectors = 10;
+
 /// out = a·b·R52^{-1} (mod n), with inputs < 2n and output < 2n. `acc` is
-/// caller scratch of k52 + 8 limbs; `out` may alias `a` or `b`. Must only
-/// be called when available() is true.
+/// caller scratch of k52 + 8 limbs (used only above kMaxRegisterVectors);
+/// `out` may alias `a` or `b`. Must only be called when available() is
+/// true.
 void amm(const Ctx& ctx, const std::uint64_t* a, const std::uint64_t* b,
          std::uint64_t* out, std::uint64_t* acc);
 

@@ -389,6 +389,11 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
     alphas[i] = std::move(alpha);
     pend.epsilon[i] = (stream_.next_u64() & 1) != 0 ? -1 : 1;
   }
+  // finish_request's draws come from a per-request stream seeded here: when
+  // a conversion returns relative to later requests' arrivals is transport
+  // timing, so drawing η from stream_ there would make response bytes
+  // depend on message interleaving.
+  pend.finish_seed = stream_.next_u64();
 
   // Heavy modexp section: every packed entry is independent, writes only
   // its own slot of conv.v / conv.partials.
@@ -459,10 +464,11 @@ SuResponseMsg SdcServer::finish_request(const ConvertResponseMsg& response) {
 
   // Eq. (17): G̃ = S̃G ⊕ (η ⊗ ΣQ̃), fresh η >= 1 — η ⊗ · ⊕ · fused into one
   // ladder with the S̃G factor riding the Montgomery exit.
-  bn::BigUint eta = bn::random_bits(stream_, cfg_.blind_bits);
+  crypto::ChaChaRng finish_rng{pend.finish_seed};
+  bn::BigUint eta = bn::random_bits(finish_rng, cfg_.blind_bits);
   eta.set_bit(cfg_.blind_bits - 1);
   auto g = crypto::PaillierCiphertext{pk_j.mont_n2().pow_mul(
-      acc.value, eta, pk_j.encrypt(pend.signature, stream_).value)};
+      acc.value, eta, pk_j.encrypt(pend.signature, finish_rng).value)};
 
   SuResponseMsg resp;
   resp.request_id = response.request_id;
@@ -621,8 +627,8 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
       if (inflight_batch_ && *inflight_batch_ == batch.batch_id)
         inflight_batch_.reset();
       // Items complete in batch order — the same order their per-request
-      // ConvertResponseMsgs would have arrived in, which keeps the η draw
-      // order (and so every response byte) identical to unbatched mode.
+      // ConvertResponseMsgs would have arrived in. Response bytes do not
+      // depend on it: each request's η comes from its own finish_seed.
       for (auto& item : batch.items) {
         ConvertResponseMsg response;
         response.request_id = item.request_id;

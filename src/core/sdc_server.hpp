@@ -175,6 +175,7 @@ class SdcServer {
     LicenseBody license;
     bn::BigUint signature;  // SG, plaintext — never leaves the SDC unblinded
     std::string reply_to;   // network sender, empty for direct calls
+    std::uint64_t finish_seed = 0;  // eq. (17) draws: η and S̃G's randomizer
   };
 
   crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t b);

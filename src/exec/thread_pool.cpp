@@ -1,18 +1,17 @@
 #include "exec/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 
 namespace pisa::exec {
 
 struct ThreadPool::Job {
   const std::function<void(std::size_t)>* body = nullptr;
-  std::atomic<std::size_t> remaining{0};  // tasks not yet finished
   std::mutex err_m;
   std::exception_ptr error;
   std::mutex done_m;
   std::condition_variable done_cv;
+  std::size_t remaining = 0;  // tasks not yet finished; guarded by done_m
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -68,10 +67,11 @@ void ThreadPool::run_task(const Task& t) {
     std::lock_guard lk{job.err_m};
     if (!job.error) job.error = std::current_exception();
   }
-  if (job.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard lk{job.done_m};
-    job.done_cv.notify_all();
-  }
+  // The caller returns (destroying its stack Job) as soon as it sees
+  // remaining == 0 under done_m, so the last touch of `job` must happen
+  // before this lock is released.
+  std::lock_guard lk{job.done_m};
+  if (--job.remaining == 0) job.done_cv.notify_all();
 }
 
 void ThreadPool::worker_loop(std::size_t lane) {
@@ -108,7 +108,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   Job job;
   job.body = &body;
-  job.remaining.store(num_tasks, std::memory_order_relaxed);
+  job.remaining = num_tasks;
 
   std::size_t lo = begin;
   for (std::size_t t = 0; t < num_tasks; ++t) {
@@ -138,10 +138,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       continue;
     }
     std::unique_lock lk{job.done_m};
-    if (job.remaining.load(std::memory_order_acquire) == 0) break;
-    job.done_cv.wait(lk, [&job] {
-      return job.remaining.load(std::memory_order_acquire) == 0;
-    });
+    job.done_cv.wait(lk, [&job] { return job.remaining == 0; });
     break;
   }
 

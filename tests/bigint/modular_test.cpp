@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bigint/montgomery.hpp"
 #include "bigint/prime.hpp"
 #include "bigint/random_source.hpp"
@@ -71,6 +73,166 @@ TEST(ModInverse, NonCoprimeReturnsNullopt) {
 TEST(ModInverse, KnownSmallValues) {
   EXPECT_EQ(mod_inverse(BigUint{3}, BigUint{7})->to_u64(), 5u);
   EXPECT_EQ(mod_inverse(BigUint{10}, BigUint{17})->to_u64(), 12u);
+}
+
+// ---- safegcd kernel vs the routines it replaced --------------------------
+// gcd and mod_inverse run a Bernstein–Yang divstep kernel on raw limbs. The
+// Euclid gcd and binary extended-gcd inverse it replaced stay here as
+// oracles: gcd and inverse are unique, so the outputs must match exactly.
+
+BigUint euclid_gcd(BigUint a, BigUint b) {
+  while (!b.is_zero()) {
+    BigUint r = a % b;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+std::optional<BigUint> binary_inverse_odd(const BigUint& a, const BigUint& m) {
+  BigUint u = a % m;
+  if (u.is_zero()) return std::nullopt;
+  BigUint v = m;
+  BigUint x1{1}, x2{0};
+  auto half_mod = [&m](BigUint& x) {
+    if (x.is_odd()) x += m;
+    x >>= 1;
+  };
+  while (!u.is_zero()) {
+    while (u.is_even()) {
+      u >>= 1;
+      half_mod(x1);
+    }
+    if (u < v) {
+      std::swap(u, v);
+      std::swap(x1, x2);
+    }
+    u -= v;
+    if (x1 >= x2) {
+      x1 -= x2;
+    } else {
+      x1 += m;
+      x1 -= x2;
+    }
+  }
+  if (v != BigUint{1}) return std::nullopt;
+  return x2;
+}
+
+// Bit lengths around the kernel's 62-bit limb seams and the protocol sizes.
+const std::size_t kKernelBits[] = {64,  65,  124,  125,  186,  256,  512,
+                                   1000, 1024, 1536, 2048, 3000, 4096};
+
+TEST(GcdKernel, MatchesEuclidAcrossSizes) {
+  SplitMix64Random rng{41};
+  for (std::size_t bits : kKernelBits) {
+    SCOPED_TRACE(bits);
+    for (int i = 0; i < 6; ++i) {
+      const BigUint a = random_bits(rng, bits);
+      const BigUint b = random_bits(rng, bits / 2 + 1);
+      EXPECT_EQ(gcd(a, b), euclid_gcd(a, b));
+      EXPECT_EQ(gcd(b, a), euclid_gcd(a, b));
+      // A planted common factor, with powers of two on both sides.
+      const BigUint c = random_bits(rng, bits / 3 + 1) + BigUint{1};
+      const BigUint x = (a + BigUint{1}) * c << 3;
+      const BigUint y = (b + BigUint{1}) * c << 5;
+      EXPECT_EQ(gcd(x, y), euclid_gcd(x, y));
+    }
+    const BigUint a = random_bits(rng, bits) + BigUint{1};
+    EXPECT_EQ(gcd(a, a), a);
+    EXPECT_EQ(gcd(a, BigUint{1}).to_u64(), 1u);
+    EXPECT_EQ(gcd(a, BigUint{}), a);
+    EXPECT_EQ(gcd(BigUint{1} << bits, BigUint{1} << (bits / 2)),
+              BigUint{1} << (bits / 2));
+  }
+}
+
+TEST(ModInverseKernel, MatchesBinaryOracleForOddModuli) {
+  SplitMix64Random rng{43};
+  for (std::size_t bits : kKernelBits) {
+    SCOPED_TRACE(bits);
+    for (int i = 0; i < 6; ++i) {
+      BigUint m = random_bits(rng, bits);
+      m.set_bit(bits - 1);
+      m.set_bit(0);
+      const BigUint a = random_below(rng, m);
+      const auto want = binary_inverse_odd(a, m);
+      const auto got = mod_inverse(a, m);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (got) {
+        EXPECT_EQ(*got, *want);
+        EXPECT_EQ(mod_mul(a, *got, m).to_u64(), 1u);
+      }
+    }
+    BigUint m = random_bits(rng, bits);
+    m.set_bit(bits - 1);
+    m.set_bit(0);
+    const BigUint top = m - BigUint{1};
+    EXPECT_EQ(*mod_inverse(top, m), top) << "(-1)^{-1} = -1";
+    EXPECT_EQ(mod_inverse(BigUint{1}, m)->to_u64(), 1u);
+  }
+}
+
+TEST(ModInverseKernel, NonUnitsGiveNullopt) {
+  SplitMix64Random rng{47};
+  for (std::size_t bits : {64u, 256u, 1024u, 2048u}) {
+    SCOPED_TRACE(bits);
+    // m = p·q with odd p, q: multiples of either factor are non-units.
+    BigUint p = random_bits(rng, bits / 2);
+    p.set_bit(0);
+    p.set_bit(bits / 2 - 1);
+    BigUint q = random_bits(rng, bits / 2);
+    q.set_bit(0);
+    q.set_bit(bits / 2 - 1);
+    const BigUint m = p * q;
+    EXPECT_FALSE(mod_inverse(p, m).has_value());
+    EXPECT_FALSE(mod_inverse(q * BigUint{3}, m).has_value());
+    EXPECT_FALSE(mod_inverse(BigUint{0}, m).has_value());
+    EXPECT_FALSE(mod_inverse(m, m).has_value());
+    EXPECT_FALSE(mod_inverse(m * BigUint{5}, m).has_value());
+    const BigUint a = random_below(rng, m);
+    EXPECT_EQ(mod_inverse(a, m).has_value(),
+              binary_inverse_odd(a, m).has_value());
+  }
+}
+
+TEST(ModInverseKernel, OperandsAboveTheModulusAreReduced) {
+  SplitMix64Random rng{53};
+  for (std::size_t bits : {64u, 512u, 2048u, 4096u}) {
+    SCOPED_TRACE(bits);
+    BigUint m = random_bits(rng, bits);
+    m.set_bit(bits - 1);
+    m.set_bit(0);
+    const BigUint a = random_coprime(rng, m);
+    const auto want = mod_inverse(a, m);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(mod_inverse(a + m, m), want);
+    EXPECT_EQ(mod_inverse(a + m * random_bits(rng, bits), m), want);
+  }
+}
+
+TEST(ModInverseKernel, EvenModulusPathStillInverts) {
+  SplitMix64Random rng{59};
+  for (std::size_t bits : {64u, 256u, 1024u}) {
+    SCOPED_TRACE(bits);
+    BigUint m = random_bits(rng, bits);
+    m.set_bit(bits - 1);
+    m = m << 1;  // even
+    BigUint a = random_bits(rng, bits);
+    a.set_bit(0);
+    const auto inv = mod_inverse(a, m);
+    if (euclid_gcd(a, m) == BigUint{1}) {
+      ASSERT_TRUE(inv.has_value());
+      EXPECT_LT(*inv, m);
+      EXPECT_EQ(mod_mul(a, *inv, m).to_u64(), 1u);
+    } else {
+      EXPECT_FALSE(inv.has_value());
+    }
+    EXPECT_FALSE(mod_inverse(a << 1, m).has_value()) << "even a, even m";
+  }
+  EXPECT_EQ(mod_inverse(BigUint{3}, BigUint{8})->to_u64(), 3u);
+  EXPECT_EQ(mod_inverse(BigUint{7}, BigUint{1} << 64)->to_u64() * 7,
+            1u);  // wraps mod 2^64
 }
 
 TEST(ModPow, SmallKnownValues) {

@@ -126,6 +126,33 @@ TEST(BatchConvert, OutcomesAreIndependentOfBatchComposition) {
   EXPECT_EQ(c.stats.convert_msgs, 3u);
 }
 
+TEST(BatchConvert, OutcomesAreIndependentOfWhenConversionsReturn) {
+  // In a burst every request is blinded before the first conversion comes
+  // back; served one at a time, each conversion returns before the next
+  // request arrives. Over TCP either interleaving can happen, so response
+  // bytes must not depend on it.
+  auto cfg = batch_config();
+  cfg.convert_batch_max = 10'000;
+  auto burst = run_burst(cfg);
+
+  crypto::ChaChaRng rng{std::uint64_t{0xBA7C4}};
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+  auto sites = one_site();
+  PisaSystem system{cfg, sites, model, rng};
+  for (std::uint32_t su = 1; su <= kSus; ++su) {
+    auto& client = system.add_su(su);
+    system.sdc().register_su_key(su, client.public_key());
+  }
+  system.pu_update(0, watch::PuTuning{ChannelId{0}, 1e-6});
+  std::vector<std::tuple<bool, bool, std::uint64_t, bn::BigUint>> one_by_one;
+  for (const auto& req : burst_requests(cfg)) {
+    auto out = system.su_request(req);
+    one_by_one.emplace_back(out.completed(), out.granted, out.license.serial,
+                            out.signature);
+  }
+  EXPECT_EQ(burst.outcomes, one_by_one);
+}
+
 TEST(BatchConvert, WarmPoolsPreserveByteIdentityAndStayWarm) {
   auto unbatched_cfg = batch_config();
   unbatched_cfg.stp_pool_target = 8;  // one request's worth per SU

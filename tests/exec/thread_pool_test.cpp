@@ -73,6 +73,23 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   }
 }
 
+TEST(ThreadPool, ManyTinyJobsDoNotOutliveTheirCaller) {
+  // Each parallel_for keeps its Job on the caller's stack. Thousands of
+  // two-to-eight-index jobs at four lanes make the last worker finish just
+  // as the caller returns. A worker that still touches the finished Job
+  // (its done_m / done_cv) races the next call's Job built at the same
+  // address: a lost wakeup or a hang here, a data race under TSan.
+  ThreadPool pool{4};
+  for (std::size_t round = 0; round < 5000; ++round) {
+    const std::size_t n = 2 + round % 7;
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for(0, n, [&](std::size_t i) {
+      sum.fetch_add(i + 1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
