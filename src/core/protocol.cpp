@@ -21,9 +21,9 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
 
 PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
                        const radio::PathLossModel& model, bn::RandomSource& rng)
-    : cfg_(cfg), sites_(std::move(sites)), model_(model), rng_(rng),
-      d_c_m_(watch::exclusion_radius_m(cfg.watch, model)) {
-  cfg_.validate();
+    : sites_(std::move(sites)), model_(model), rng_(rng),
+      d_c_m_(watch::exclusion_radius_m(cfg.watch, model)), stack_(cfg, rng),
+      cfg_(stack_.config()) {
   if (cfg_.reliability.enabled) {
     net::ReliablePolicy policy;
     policy.max_retries = cfg_.reliability.max_retries;
@@ -32,16 +32,7 @@ PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
     policy.dedup_window = cfg_.reliability.dedup_window;
     reliable_ = std::make_unique<net::ReliableTransport>(net_, policy);
   }
-  if (cfg_.num_threads > 1)
-    exec_ = std::make_shared<exec::ThreadPool>(cfg_.num_threads);
-  stp_ = std::make_unique<StpServer>(cfg_, rng_);
-  sdc_ = std::make_unique<SdcServer>(cfg_, stp_->group_key(),
-                                     watch::make_e_matrix(cfg_.watch), rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  stp_->set_thread_pool(exec_);
-  sdc_->set_thread_pool(exec_);
-  stp_->attach(transport(), "stp");
-  sdc_->attach(transport(), "sdc", "stp");
+  stack_.attach(transport());
 
   // Each PU takes the full public E matrix: a mobile receiver must be able
   // to recompute w = T − E at whatever block it drives into.
@@ -49,10 +40,10 @@ PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
   for (const auto& site : sites_) {
     auto [it, inserted] = pus_.emplace(
         site.pu_id,
-        std::make_unique<PuClient>(site, cfg_, stp_->group_key(), e, rng_));
+        std::make_unique<PuClient>(site, cfg_, stp().group_key(), e, rng_));
     if (!inserted)
       throw std::invalid_argument("PisaSystem: duplicate PU id");
-    it->second->set_thread_pool(exec_);
+    it->second->set_thread_pool(thread_pool());
     // PU endpoints receive nothing at the application layer, but the
     // reliable transport needs them registered so ACKs for their updates
     // come home.
@@ -61,18 +52,6 @@ PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
           throw std::runtime_error("PU endpoint: unexpected message " + msg.type);
         });
   }
-
-  // §3.10 PIR mode: replica 0 is already attached inside the SDC; bring up
-  // the standalone replicas 1..ℓ−1 on the same transport.
-  if (cfg_.query_mode == QueryMode::kPir) {
-    for (std::size_t i = 1; i < cfg_.pir.replicas; ++i) {
-      auto srv =
-          std::make_unique<pir::PirServer>(e, cfg_.pack_slots, pir::PirDurability{});
-      srv->set_thread_pool(exec_);
-      srv->attach(transport(), pir::replica_name(i));
-      pir_extras_.push_back(std::move(srv));
-    }
-  }
 }
 
 net::Transport& PisaSystem::transport() {
@@ -80,50 +59,11 @@ net::Transport& PisaSystem::transport() {
   return net_;
 }
 
-void PisaSystem::crash_sdc() {
-  if (!sdc_) return;
-  // Endpoint first, then the object: in-flight messages to "sdc" must fail
-  // delivery, and destroying the server drops all of its in-memory state.
-  transport().remove_endpoint("sdc");
-  // The co-located PIR replica 0 dies with the process.
-  if (cfg_.query_mode == QueryMode::kPir)
-    transport().remove_endpoint(pir::replica_name(0));
-  sdc_.reset();
-}
-
-void PisaSystem::crash_pir_replica(std::size_t index) {
-  if (index == 0 || index >= cfg_.pir.replicas)
-    throw std::out_of_range(
-        "PisaSystem: crash_pir_replica needs a standalone replica index "
-        "(crash replica 0 via crash_sdc)");
-  auto& slot = pir_extras_.at(index - 1);
-  if (!slot) return;
-  transport().remove_endpoint(pir::replica_name(index));
-  slot.reset();
-}
-
-pir::PirServer* PisaSystem::pir_replica(std::size_t index) {
-  if (cfg_.query_mode != QueryMode::kPir || index >= cfg_.pir.replicas)
-    return nullptr;
-  if (index == 0) return sdc_ ? sdc_->pir_server() : nullptr;
-  return pir_extras_.at(index - 1).get();
-}
-
-SdcServer& PisaSystem::restart_sdc() {
-  if (sdc_) return *sdc_;
-  sdc_ = std::make_unique<SdcServer>(cfg_, stp_->group_key(),
-                                     watch::make_e_matrix(cfg_.watch), rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  sdc_->set_thread_pool(exec_);
-  sdc_->attach(transport(), "sdc", "stp");
-  return *sdc_;
-}
-
 SuClient& PisaSystem::add_su(std::uint32_t su_id, std::size_t precompute) {
   if (sus_.contains(su_id))
     throw std::invalid_argument("PisaSystem: duplicate SU id");
-  auto client = std::make_unique<SuClient>(su_id, cfg_, stp_->group_key(), rng_);
-  client->set_thread_pool(exec_);
+  auto client = std::make_unique<SuClient>(su_id, cfg_, stp().group_key(), rng_);
+  client->set_thread_pool(thread_pool());
   // The endpoint must exist before the key upload: under the reliable
   // transport the STP's ACK comes back to it.
   transport().register_endpoint(su_name(su_id), [this](const net::Message& msg) {
@@ -175,45 +115,51 @@ PuClient& PisaSystem::pu(std::uint32_t pu_id) {
   return *it->second;
 }
 
+namespace {
+
+// PIR mode: the PU's plaintext column for the replicas, built before
+// make_update / make_delta commits the footprint (it is const and consumes
+// no randomness either way).
+std::optional<pir::PirUpdateMsg> pir_column(const PisaConfig& cfg,
+                                            const PuClient& client,
+                                            const watch::PuTuning& tuning) {
+  if (cfg.query_mode != QueryMode::kPir) return std::nullopt;
+  return client.make_pir_update(tuning);
+}
+
+}  // namespace
+
 void PisaSystem::pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
   auto& client = pu(pu_id);
-  // PIR mode: build the plaintext column before make_update commits the
-  // footprint (it is const and consumes no randomness either way), and ship
-  // it to every replica alongside the encrypted column.
-  std::optional<pir::PirUpdateMsg> pir_msg;
-  if (cfg_.query_mode == QueryMode::kPir)
-    pir_msg = client.make_pir_update(tuning);
+  auto pir_msg = pir_column(cfg_, client, tuning);
   auto update = client.make_update(tuning);
-  transport().send({"pu_" + std::to_string(pu_id), "sdc", kMsgPuUpdate,
-                    update.encode(stp_->group_key().ciphertext_bytes())});
-  if (pir_msg) {
-    auto bytes = pir_msg->encode();
-    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-      transport().send({"pu_" + std::to_string(pu_id), pir::replica_name(i),
-                        pir::kMsgPirUpdate, bytes});
-  }
-  net_.run();
+  send_pu(pu_id, kMsgPuUpdate,
+          update.encode(stp().group_key().ciphertext_bytes()), pir_msg);
 }
 
 bool PisaSystem::pu_delta(std::uint32_t pu_id, const watch::PuTuning& tuning) {
   auto& client = pu(pu_id);
-  std::optional<pir::PirUpdateMsg> pir_msg;
-  if (cfg_.query_mode == QueryMode::kPir)
-    pir_msg = client.make_pir_update(tuning);
+  auto pir_msg = pir_column(cfg_, client, tuning);
   auto delta = client.make_delta(tuning);
   if (!delta) return false;
-  transport().send({"pu_" + std::to_string(pu_id), "sdc", kMsgPuDelta,
-                    delta->encode(stp_->group_key().ciphertext_bytes())});
+  send_pu(pu_id, kMsgPuDelta,
+          delta->encode(stp().group_key().ciphertext_bytes()), pir_msg);
+  return true;
+}
+
+void PisaSystem::send_pu(std::uint32_t pu_id, const std::string& type,
+                         std::vector<std::uint8_t> payload,
+                         const std::optional<pir::PirUpdateMsg>& pir_msg) {
+  const auto from = "pu_" + std::to_string(pu_id);
+  transport().send({from, "sdc", type, std::move(payload)});
   // Replicas always take the full current column — they diff against their
   // stored copy, so a delta-sized event still refreshes only touched rows.
   if (pir_msg) {
     auto bytes = pir_msg->encode();
     for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-      transport().send({"pu_" + std::to_string(pu_id), pir::replica_name(i),
-                        pir::kMsgPirUpdate, bytes});
+      transport().send({from, pir::replica_name(i), pir::kMsgPirUpdate, bytes});
   }
   net_.run();
-  return true;
 }
 
 void PisaSystem::pu_move(std::uint32_t pu_id, std::uint32_t block) {
@@ -229,129 +175,126 @@ PisaSystem::RequestOutcome PisaSystem::su_request(
     const watch::SuRequest& request,
     std::optional<std::pair<std::uint32_t, std::uint32_t>> range, PrepMode mode) {
   std::uint64_t rid = next_request_id_++;
-  if (cfg_.query_mode == QueryMode::kPir) {
-    std::uint32_t lo = range ? range->first : 0;
-    std::uint32_t hi = range ? range->second
-                             : static_cast<std::uint32_t>(
-                                   cfg_.watch.make_area().num_blocks());
-    return su_request_pir(request, rid, lo, hi);
-  }
-  auto& client = su(request.su_id);
   auto f = build_f(request);
-
   std::uint32_t lo = range ? range->first : 0;
   std::uint32_t hi = range ? range->second : static_cast<std::uint32_t>(f.blocks());
-  auto msg = client.prepare_request(f, rid, lo, hi, mode);
+  if (cfg_.query_mode == QueryMode::kPir)
+    return su_request_pir(request.su_id, f, rid, lo, hi);
+  auto msg = su(request.su_id).prepare_request(f, rid, lo, hi, mode);
 
-  auto before = net_.total_stats();
-  auto su_sdc_before = net_.stats(su_name(request.su_id), "sdc").bytes;
+  const auto name = su_name(request.su_id);
+  auto su_sdc_before = net_.stats(name, "sdc").bytes;
   auto sdc_stp_before = net_.stats("sdc", "stp").bytes;
   auto stp_sdc_before = net_.stats("stp", "sdc").bytes;
-  auto sdc_su_before = net_.stats("sdc", su_name(request.su_id)).bytes;
-  (void)before;
+  auto sdc_su_before = net_.stats("sdc", name).bytes;
 
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_mark();
   double t_send = net_.now_us();
-  transport().send({su_name(request.su_id), "sdc", kMsgSuRequest,
-                    msg.encode(stp_->group_key().ciphertext_bytes())});
+  transport().send({name, "sdc", kMsgSuRequest,
+                    msg.encode(stp().group_key().ciphertext_bytes())});
   net_.run();
   double t_done = net_.now_us();
   // Off-path pool maintenance: top the STP's always-warm pools back up
   // between requests so the next conversion hits precomputed factors.
-  stp_->maintain_pools();
+  stp().maintain_pools();
 
-  RequestOutcome out;
-  out.request_bytes = net_.stats(su_name(request.su_id), "sdc").bytes - su_sdc_before;
+  auto out = collect_outcome(rid, request.su_id, t_send, failures_before);
+  if (!out.completed()) out.latency_us = t_done - t_send;
+  out.request_bytes = net_.stats(name, "sdc").bytes - su_sdc_before;
   out.convert_bytes = net_.stats("sdc", "stp").bytes - sdc_stp_before;
   out.convert_reply_bytes = net_.stats("stp", "sdc").bytes - stp_sdc_before;
-  out.response_bytes = net_.stats("sdc", su_name(request.su_id)).bytes - sdc_su_before;
-  out.latency_us = t_done - t_send;
+  out.response_bytes = net_.stats("sdc", name).bytes - sdc_su_before;
+  return out;
+}
 
+PisaSystem::RequestOutcome PisaSystem::collect_outcome(
+    std::uint64_t rid, std::uint32_t su_id, double t_send,
+    std::size_t failures_before) {
+  RequestOutcome out;
+  stamp_arrival(out, rid, t_send);
+  auto& client = su(su_id);
   if (fast_denied_.erase(rid) != 0) {
     // §3.8 prefilter denial: no SuResponseMsg exists for this rid.
-    auto outcome = client.process_fast_deny(FastDenyMsg{rid});
     out.fast_denied = true;
-    out.granted = outcome.granted;
-    auto arrived = response_arrival_us_.find(rid);
-    if (arrived != response_arrival_us_.end()) {
-      out.latency_us = arrived->second - t_send;
-      response_arrival_us_.erase(arrived);
-    }
+    out.granted = client.process_fast_deny(FastDenyMsg{rid}).granted;
     return out;
   }
-
   auto it = responses_.find(rid);
   if (it == responses_.end()) {
     // Graceful degradation: retries are bounded, so a quiescent network
     // with no response means some hop exhausted its budget (or an endpoint
     // vanished). Report a typed failure instead of hanging or throwing.
-    out.status = RequestOutcome::Status::kTransportFailed;
-    out.failure = "no response delivered";
-    if (reliable_) {
-      const auto& fails = reliable_->failures();
-      for (std::size_t i = failures_before; i < fails.size(); ++i) {
-        const auto& f = fails[i];
-        out.failure += "; gave up on " + f.type + " " + f.from + "->" + f.to +
-                       " seq " + std::to_string(f.seq) + " after " +
-                       std::to_string(f.attempts) + " attempts";
-      }
-    }
+    fail(out, "no response delivered", failures_before);
     return out;
   }
-  auto outcome = client.process_response(it->second, sdc_->license_key());
+  auto outcome = client.process_response(it->second, sdc().license_key());
   responses_.erase(it);
-  auto arrived = response_arrival_us_.find(rid);
-  if (arrived != response_arrival_us_.end()) {
-    // Measure to response arrival, not to quiescence: trailing
-    // retransmission timers would otherwise inflate the latency.
-    out.latency_us = arrived->second - t_send;
-    response_arrival_us_.erase(arrived);
-  }
-
   out.granted = outcome.granted;
   out.license = outcome.license;
   out.signature = outcome.signature;
   return out;
 }
 
+void PisaSystem::stamp_arrival(RequestOutcome& out, std::uint64_t rid,
+                               double t_send) {
+  // Measure to response arrival, not to quiescence: trailing
+  // retransmission timers would otherwise inflate the latency.
+  auto arrived = response_arrival_us_.find(rid);
+  if (arrived == response_arrival_us_.end()) return;
+  out.latency_us = arrived->second - t_send;
+  response_arrival_us_.erase(arrived);
+}
+
+std::size_t PisaSystem::failure_mark() const {
+  return reliable_ ? reliable_->failures().size() : 0;
+}
+
+void PisaSystem::fail(RequestOutcome& out, std::string why,
+                      std::size_t failures_before) const {
+  out.status = RequestOutcome::Status::kTransportFailed;
+  out.failure = std::move(why);
+  if (!reliable_) return;
+  const auto& fails = reliable_->failures();
+  for (std::size_t i = failures_before; i < fails.size(); ++i) {
+    const auto& f = fails[i];
+    out.failure += "; gave up on " + f.type + " " + f.from + "->" + f.to +
+                   " seq " + std::to_string(f.seq) + " after " +
+                   std::to_string(f.attempts) + " attempts";
+  }
+}
+
 PisaSystem::RequestOutcome PisaSystem::su_request_pir(
-    const watch::SuRequest& request, std::uint64_t rid, std::uint32_t lo,
-    std::uint32_t hi) {
-  auto it = pir_clients_.find(request.su_id);
+    std::uint32_t su_id, const watch::QMatrix& f, std::uint64_t rid,
+    std::uint32_t lo, std::uint32_t hi) {
+  auto it = pir_clients_.find(su_id);
   if (it == pir_clients_.end())
     throw std::out_of_range("PisaSystem: unknown SU");
   auto& client = *it->second;
-  auto f = build_f(request);
-
   auto queries = client.make_queries(rid, lo, hi);
 
+  const auto name = su_name(su_id);
   std::vector<std::size_t> up_before(cfg_.pir.replicas),
       down_before(cfg_.pir.replicas);
   for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    up_before[i] =
-        net_.stats(su_name(request.su_id), pir::replica_name(i)).bytes;
-    down_before[i] =
-        net_.stats(pir::replica_name(i), su_name(request.su_id)).bytes;
+    up_before[i] = net_.stats(name, pir::replica_name(i)).bytes;
+    down_before[i] = net_.stats(pir::replica_name(i), name).bytes;
   }
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_mark();
 
   double t_send = net_.now_us();
   for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-    transport().send({su_name(request.su_id), pir::replica_name(i),
-                      pir::kMsgPirQuery, queries[i].encode()});
+    transport().send({name, pir::replica_name(i), pir::kMsgPirQuery,
+                      queries[i].encode()});
   net_.run();
-  double t_done = net_.now_us();
 
   RequestOutcome out;
   for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    out.request_bytes +=
-        net_.stats(su_name(request.su_id), pir::replica_name(i)).bytes -
-        up_before[i];
+    out.request_bytes += net_.stats(name, pir::replica_name(i)).bytes - up_before[i];
     out.response_bytes +=
-        net_.stats(pir::replica_name(i), su_name(request.su_id)).bytes -
-        down_before[i];
+        net_.stats(pir::replica_name(i), name).bytes - down_before[i];
   }
-  out.latency_us = t_done - t_send;
+  out.latency_us = net_.now_us() - t_send;
+  stamp_arrival(out, rid, t_send);
 
   auto replies = pir_replies_.find(rid);
   std::vector<pir::PirReplyMsg> got;
@@ -359,47 +302,25 @@ PisaSystem::RequestOutcome PisaSystem::su_request_pir(
     got = std::move(replies->second);
     pir_replies_.erase(replies);
   }
-  auto arrived = response_arrival_us_.find(rid);
-  if (arrived != response_arrival_us_.end()) {
-    out.latency_us = arrived->second - t_send;
-    response_arrival_us_.erase(arrived);
-  }
-
   if (got.size() != cfg_.pir.replicas) {
     // A replica vanished (crash) or exhausted its retry budget: XOR
     // reconstruction from ℓ−1 shares is garbage, so this is a typed
     // delivery failure — never a wrong answer, never a hang.
-    out.status = RequestOutcome::Status::kTransportFailed;
-    out.failure = "got " + std::to_string(got.size()) + "/" +
-                  std::to_string(cfg_.pir.replicas) + " PIR replies";
-    if (reliable_) {
-      const auto& fails = reliable_->failures();
-      for (std::size_t i = failures_before; i < fails.size(); ++i) {
-        const auto& fl = fails[i];
-        out.failure += "; gave up on " + fl.type + " " + fl.from + "->" +
-                       fl.to + " seq " + std::to_string(fl.seq) + " after " +
-                       std::to_string(fl.attempts) + " attempts";
-      }
-    }
+    fail(out,
+         "got " + std::to_string(got.size()) + "/" +
+             std::to_string(cfg_.pir.replicas) + " PIR replies",
+         failures_before);
     return out;
   }
-
-  std::vector<std::vector<std::int64_t>> rows;
-  try {
-    auto raw = client.reconstruct(got);
-    rows.reserve(raw.size());
-    for (const auto& r : raw)
-      rows.push_back(pir::decode_budget_row(r, cfg_.watch.channels));
-  } catch (const std::runtime_error& e) {
-    // Version/shape divergence across replicas: refuse the reconstruction
-    // and surface it as a delivery failure the caller can retry.
-    out.status = RequestOutcome::Status::kTransportFailed;
-    out.failure = e.what();
+  // Version/shape divergence across replicas refuses the reconstruction and
+  // surfaces as a delivery failure the caller can retry.
+  std::string why;
+  auto decision = client.decide(got, cfg_.watch, f, lo, &why);
+  if (!decision) {
+    fail(out, std::move(why), failures_before);
     return out;
   }
-
-  auto decision = pir::evaluate_rows(cfg_.watch, f, lo, rows);
-  out.granted = decision.granted;
+  out.granted = decision->granted;
   return out;
 }
 
@@ -444,7 +365,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     p.su_id = r.su_id;
     auto msg = client.prepare_request(
         f, p.rid, 0, static_cast<std::uint32_t>(f.blocks()), mode);
-    p.bytes = msg.encode(stp_->group_key().ciphertext_bytes());
+    p.bytes = msg.encode(stp().group_key().ciphertext_bytes());
     prepared.push_back(std::move(p));
   }
   double prep_ms = wall_ms_since(t_prep);
@@ -458,7 +379,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     req_bytes_before += net_.stats(su_name(p.su_id), "sdc").bytes;
     resp_bytes_before += net_.stats("sdc", su_name(p.su_id)).bytes;
   }
-  std::size_t failures_before = reliable_ ? reliable_->failures().size() : 0;
+  std::size_t failures_before = failure_mark();
 
   double t_send = net_.now_us();
   for (auto& p : prepared)
@@ -467,62 +388,22 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
   auto t_serve = std::chrono::steady_clock::now();
   net_.run();
   double serve_ms = wall_ms_since(t_serve);
-  stp_->maintain_pools();
+  stp().maintain_pools();
 
   std::vector<RequestOutcome> outs;
   outs.reserve(prepared.size());
-  double last_arrival = t_send;
+  // Response arrivals, not now_us(): trailing watchdog/retransmission
+  // timers fire long after the last response and must not count.
+  double makespan_us = 0;
   for (const auto& p : prepared) {
-    RequestOutcome out;
-    if (fast_denied_.erase(p.rid) != 0) {
-      auto outcome = su(p.su_id).process_fast_deny(FastDenyMsg{p.rid});
-      out.fast_denied = true;
-      out.granted = outcome.granted;
-      auto arrived = response_arrival_us_.find(p.rid);
-      if (arrived != response_arrival_us_.end()) {
-        out.latency_us = arrived->second - t_send;
-        last_arrival = std::max(last_arrival, arrived->second);
-        response_arrival_us_.erase(arrived);
-      }
-      outs.push_back(std::move(out));
-      continue;
-    }
-    auto it = responses_.find(p.rid);
-    if (it == responses_.end()) {
-      out.status = RequestOutcome::Status::kTransportFailed;
-      out.failure = "no response delivered";
-      if (reliable_) {
-        const auto& fails = reliable_->failures();
-        for (std::size_t i = failures_before; i < fails.size(); ++i) {
-          const auto& f = fails[i];
-          out.failure += "; gave up on " + f.type + " " + f.from + "->" +
-                         f.to + " seq " + std::to_string(f.seq) + " after " +
-                         std::to_string(f.attempts) + " attempts";
-        }
-      }
-      outs.push_back(std::move(out));
-      continue;
-    }
-    auto outcome = su(p.su_id).process_response(it->second, sdc_->license_key());
-    responses_.erase(it);
-    auto arrived = response_arrival_us_.find(p.rid);
-    if (arrived != response_arrival_us_.end()) {
-      out.latency_us = arrived->second - t_send;
-      last_arrival = std::max(last_arrival, arrived->second);
-      response_arrival_us_.erase(arrived);
-    }
-    out.granted = outcome.granted;
-    out.license = outcome.license;
-    out.signature = outcome.signature;
-    outs.push_back(std::move(out));
+    outs.push_back(collect_outcome(p.rid, p.su_id, t_send, failures_before));
+    makespan_us = std::max(makespan_us, outs.back().latency_us);
   }
 
   if (stats != nullptr) {
     stats->prep_wall_ms = prep_ms;
     stats->serve_wall_ms = serve_ms;
-    // Response arrivals, not now_us(): trailing watchdog/retransmission
-    // timers fire long after the last response and must not count.
-    stats->makespan_us = last_arrival - t_send;
+    stats->makespan_us = makespan_us;
     stats->convert_msgs = 0;
     for (std::size_t i = stp_log_before; i < stp_log.size(); ++i) {
       const auto& rec = stp_log[i];

@@ -1,11 +1,12 @@
 // End-to-end PISA deployment over the simulated network.
 //
-// PisaSystem owns one STP, one SDC, one PuClient per registered TV-receiver
-// site and any number of SuClients, and drives the full message flows of
-// Figures 4 and 5: PU tuning updates, and the two-phase SU request with the
-// STP key-conversion round. It reuses the exact plaintext matrix builders
-// of the watch layer, so a PlainWatch instance fed the same inputs is a
-// bit-exact decision oracle for this encrypted pipeline.
+// PisaSystem owns one ServerStack (STP, SDC, PIR replicas), one PuClient
+// per registered TV-receiver site and any number of SuClients, and drives
+// the full message flows of Figures 4 and 5: PU tuning updates, and the
+// two-phase SU request with the STP key-conversion round. It builds its
+// plaintext matrices with the watch layer's own functions, so a PlainWatch
+// instance fed the same inputs is a bit-exact decision oracle for this
+// encrypted pipeline.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,11 @@
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/pu_client.hpp"
-#include "core/sdc_server.hpp"
-#include "core/stp_server.hpp"
+#include "core/server_stack.hpp"
 #include "core/su_client.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
 #include "pir/pir_client.hpp"
-#include "pir/pir_replica.hpp"
 #include "radio/pathloss.hpp"
 #include "watch/plain_watch.hpp"
 
@@ -136,7 +135,7 @@ class PisaSystem {
   /// messages already in flight to it are recorded as delivery failures
   /// rather than delivered. What survives is exactly what durability wrote
   /// to cfg.durability.dir. Idempotent; no-op when already crashed.
-  void crash_sdc();
+  void crash_sdc() { stack_.crash_sdc(); }
 
   /// Boot a fresh SDC process: a new SdcServer is constructed (with
   /// durability on it recovers Ñ/W̃/serial state from cfg.durability.dir
@@ -146,27 +145,29 @@ class PisaSystem {
   /// directory on demand, the normal asynchronous key-lookup path. Requests
   /// that were in flight at crash time stay lost (their SUs see a typed
   /// transport failure); new requests proceed normally.
-  SdcServer& restart_sdc();
+  SdcServer& restart_sdc() { return stack_.restart_sdc(); }
 
-  bool sdc_running() const { return sdc_ != nullptr; }
+  bool sdc_running() const { return stack_.sdc_running(); }
 
   /// Kill a standalone PIR replica (index ≥ 1; replica 0 rides crash_sdc):
   /// endpoint removed, object destroyed. Queries in flight to it fail
   /// delivery and the issuing SU sees a typed kTransportFailed — never a
   /// hang, never a reconstruction from a partial reply set. Idempotent.
-  void crash_pir_replica(std::size_t index);
+  void crash_pir_replica(std::size_t index) { stack_.crash_pir_replica(index); }
 
   /// Replica `index` (0 = the SDC-hosted one), or nullptr when that replica
   /// is crashed / the system is not in PIR mode.
-  pir::PirServer* pir_replica(std::size_t index);
+  pir::PirServer* pir_replica(std::size_t index) { return stack_.pir_replica(index); }
 
-  SdcServer& sdc() { return *sdc_; }
-  StpServer& stp() { return *stp_; }
+  SdcServer& sdc() { return stack_.sdc(); }
+  StpServer& stp() { return stack_.stp(); }
   SuClient& su(std::uint32_t su_id);
   PuClient& pu(std::uint32_t pu_id);
 
   /// Shared execution pool (null when cfg.num_threads == 1).
-  const std::shared_ptr<exec::ThreadPool>& thread_pool() const { return exec_; }
+  const std::shared_ptr<exec::ThreadPool>& thread_pool() const {
+    return stack_.thread_pool();
+  }
 
  private:
   static std::string su_name(std::uint32_t id) { return "su_" + std::to_string(id); }
@@ -175,15 +176,35 @@ class PisaSystem {
   /// transport when cfg.reliability.enabled, the raw bus otherwise.
   net::Transport& transport();
 
+  /// Send one PU's SDC-bound update (`type`, `payload`) plus, in PIR mode,
+  /// its plaintext column to every replica, then drain the network.
+  void send_pu(std::uint32_t pu_id, const std::string& type,
+               std::vector<std::uint8_t> payload,
+               const std::optional<pir::PirUpdateMsg>& pir_msg);
+
   /// §3.10 query path: split the fetch of [lo, hi) into XOR shares, one
   /// query per replica, reconstruct and decide locally. Fills the same
   /// RequestOutcome su_request does (license fields stay empty — a PIR
   /// grant is a local decision, not a signed license).
-  RequestOutcome su_request_pir(const watch::SuRequest& request,
+  RequestOutcome su_request_pir(std::uint32_t su_id, const watch::QMatrix& f,
                                 std::uint64_t rid, std::uint32_t lo,
                                 std::uint32_t hi);
 
-  PisaConfig cfg_;
+  /// The outcome of Paillier request `rid` once the network is quiescent:
+  /// fast denial, verified response, or a typed transport failure. Latency
+  /// runs from `t_send` to the response's arrival (zero when none arrived).
+  RequestOutcome collect_outcome(std::uint64_t rid, std::uint32_t su_id,
+                                 double t_send, std::size_t failures_before);
+
+  /// Latency to the recorded arrival of `rid`'s response, if one arrived.
+  void stamp_arrival(RequestOutcome& out, std::uint64_t rid, double t_send);
+
+  /// Reliable-layer give-ups so far (0 on the raw bus): the mark a request
+  /// takes before sending. fail() marks `out` kTransportFailed with `why`
+  /// plus every hop that gave up after that mark.
+  std::size_t failure_mark() const;
+  void fail(RequestOutcome& out, std::string why, std::size_t failures_before) const;
+
   std::vector<watch::PuSite> sites_;
   const radio::PathLossModel& model_;
   bn::RandomSource& rng_;
@@ -191,14 +212,10 @@ class PisaSystem {
 
   net::SimulatedNetwork net_;
   std::unique_ptr<net::ReliableTransport> reliable_;
-  std::shared_ptr<exec::ThreadPool> exec_;
-  std::unique_ptr<StpServer> stp_;
-  std::unique_ptr<SdcServer> sdc_;
+  ServerStack stack_;
+  const PisaConfig& cfg_;  // stack_.config(), validated
   std::map<std::uint32_t, std::unique_ptr<PuClient>> pus_;
   std::map<std::uint32_t, std::unique_ptr<SuClient>> sus_;
-  /// §3.10 standalone replicas 1..ℓ−1 (replica 0 lives inside the SDC);
-  /// a crashed replica's slot holds null.
-  std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;
   std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
   /// PIR replies collected at the SU endpoints, keyed by request id.
   std::map<std::uint64_t, std::vector<pir::PirReplyMsg>> pir_replies_;

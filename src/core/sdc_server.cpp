@@ -165,6 +165,7 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
     if (net_ != nullptr) send_budget_probe(cells);
   }
   ++stats_.pu_updates;
+  ++folds_applied_;
   stats_.update.add(ms_since(t0));
 }
 
@@ -196,6 +197,7 @@ void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
     if (net_ != nullptr) send_budget_probe(cells);
   }
   ++stats_.pu_deltas;
+  ++folds_applied_;
   stats_.delta_cells += delta.cells.size();
   stats_.delta.add(ms_since(t0));
 }

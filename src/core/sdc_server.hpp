@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -166,7 +167,14 @@ class SdcServer {
     PhaseStat phase2;     // finish_request
     PhaseStat prefilter;  // fast-deny screen (filter-on requests only)
   };
+  /// Handler-thread state: read stats() only where no handler can run
+  /// concurrently (same thread, or a quiesced and joined transport).
   const Stats& stats() const { return stats_; }
+
+  /// PU updates + deltas folded so far; safe to poll from any thread. Each
+  /// fold queues its re-probe round before the count moves, so a caller
+  /// that sees its count and then quiesces the lane has seen those run.
+  std::uint64_t folds_applied() const { return folds_applied_.load(); }
 
  private:
   struct PendingRequest {
@@ -239,6 +247,7 @@ class SdcServer {
   // slip past ReliableTransport's dedup window must not re-run handlers.
   net::DedupWindow seen_frames_;
   Stats stats_;
+  std::atomic<std::uint64_t> folds_applied_{0};
 
   // §3.8/§3.9 probe bookkeeping. A cell's epoch advances on every
   // invalidation (full folds bump every cell of the touched blocks, delta

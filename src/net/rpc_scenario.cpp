@@ -33,8 +33,7 @@ void TcpScenarioDriver::sync_server() {
   // counter, so once the counters cover every update we sent, one lane
   // quiesce below is enough to know those probe rounds have run too.
   for (;;) {
-    const auto& stats = server_.sdc().stats();
-    if (stats.pu_updates + stats.pu_deltas >= expected_updates_) break;
+    if (server_.sdc().folds_applied() >= expected_updates_) break;
     if (std::chrono::steady_clock::now() >= deadline)
       throw std::runtime_error(
           "TcpScenarioDriver: timed out waiting for PU updates to fold");

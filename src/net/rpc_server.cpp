@@ -5,76 +5,14 @@
 
 #include "core/messages.hpp"
 #include "crypto/key_codec.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace pisa::rpc {
 
 RpcServer::RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts, std::uint16_t port)
-    : cfg_(cfg), rng_(rng), tcp_(opts) {
-  cfg_.validate();
-  // Same draw order as PisaSystem: STP keygen, then SDC keygen — an oracle
-  // world seeded identically produces the same keys and entity streams.
-  if (cfg_.num_threads > 1)
-    exec_ = std::make_shared<exec::ThreadPool>(cfg_.num_threads);
-  stp_ = std::make_unique<core::StpServer>(cfg_, rng_);
-  sdc_ = std::make_unique<core::SdcServer>(cfg_, stp_->group_key(),
-                                           watch::make_e_matrix(cfg_.watch),
-                                           rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  stp_->set_thread_pool(exec_);
-  sdc_->set_thread_pool(exec_);
-  stp_->attach(tcp_, "stp");
-  sdc_->attach(tcp_, "sdc", "stp");
-  // §3.10: the SDC attach above registered replica 0; the standalone
-  // replicas live behind the same listener as their own endpoints.
-  if (cfg_.query_mode == core::QueryMode::kPir) {
-    auto e = watch::make_e_matrix(cfg_.watch);
-    for (std::size_t i = 1; i < cfg_.pir.replicas; ++i) {
-      auto srv = std::make_unique<pir::PirServer>(e, cfg_.pack_slots,
-                                                  pir::PirDurability{});
-      srv->set_thread_pool(exec_);
-      srv->attach(tcp_, pir::replica_name(i));
-      pir_extras_.push_back(std::move(srv));
-    }
-  }
+    : stack_(cfg, rng), tcp_(opts) {
+  stack_.attach(tcp_);
   tcp_.listen(port);
-}
-
-pir::PirServer* RpcServer::pir_replica(std::size_t index) {
-  if (cfg_.query_mode != core::QueryMode::kPir || index >= cfg_.pir.replicas)
-    return nullptr;
-  if (index == 0) return sdc_ ? sdc_->pir_server() : nullptr;
-  return pir_extras_.at(index - 1).get();
-}
-
-void RpcServer::crash_pir_replica(std::size_t index) {
-  if (index == 0 || index >= cfg_.pir.replicas)
-    throw std::out_of_range(
-        "RpcServer: crash_pir_replica needs a standalone replica index");
-  auto& slot = pir_extras_.at(index - 1);
-  if (!slot) return;
-  tcp_.remove_endpoint(pir::replica_name(index));
-  slot.reset();
-}
-
-void RpcServer::crash_sdc() {
-  if (!sdc_) return;
-  tcp_.remove_endpoint("sdc");
-  if (cfg_.query_mode == core::QueryMode::kPir)
-    tcp_.remove_endpoint(pir::replica_name(0));
-  sdc_.reset();
-}
-
-core::SdcServer& RpcServer::restart_sdc() {
-  if (sdc_) return *sdc_;
-  sdc_ = std::make_unique<core::SdcServer>(cfg_, stp_->group_key(),
-                                           watch::make_e_matrix(cfg_.watch),
-                                           rng_);
-  if (cfg_.threshold_stp) sdc_->set_threshold_share(stp_->sdc_share());
-  sdc_->set_thread_pool(exec_);
-  sdc_->attach(tcp_, "sdc", "stp");
-  return *sdc_;
 }
 
 RpcClient::RpcClient(const core::PisaConfig& cfg,
@@ -101,43 +39,32 @@ core::SuClient& RpcClient::add_su(std::uint32_t su_id, std::size_t precompute) {
   auto client =
       std::make_unique<core::SuClient>(su_id, cfg_, group_pk_, rng_);
   tcp_.register_endpoint(su_name(su_id), [this](const net::Message& msg) {
+    std::uint64_t rid;
+    bool complete = true;
     if (msg.type == pir::kMsgPirReply) {
       auto reply = pir::PirReplyMsg::decode(msg.payload);
-      auto request_id = reply.request_id;
-      bool complete;
-      {
-        std::lock_guard<std::mutex> lk(rmu_);
-        auto& slot = pir_replies_[request_id];
-        slot.push_back(std::move(reply));
-        complete = slot.size() >= cfg_.pir.replicas;
-      }
-      if (complete && on_response_) on_response_(request_id);
-      rcv_.notify_all();
-      return;
-    }
-    if (msg.type == core::kMsgFastDeny) {
-      // §3.8 one-round denial: record the rid and wake waiters; decode()
-      // validates the fixed 32-byte shape (leakage discipline).
-      auto deny = core::FastDenyMsg::decode(msg.payload);
-      {
-        std::lock_guard<std::mutex> lk(rmu_);
-        fast_denied_.insert(deny.request_id);
-      }
-      if (on_response_) on_response_(deny.request_id);
-      rcv_.notify_all();
-      return;
-    }
-    if (msg.type != core::kMsgSuResponse)
-      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-    auto resp = core::SuResponseMsg::decode(msg.payload);
-    auto request_id = resp.request_id;
-    {
+      rid = reply.request_id;
       std::lock_guard<std::mutex> lk(rmu_);
-      responses_.insert_or_assign(request_id, std::move(resp));
+      auto& slot = pir_replies_[rid];
+      slot.push_back(std::move(reply));
+      complete = slot.size() >= cfg_.pir.replicas;
+    } else if (msg.type == core::kMsgFastDeny) {
+      // §3.8 one-round denial: decode() validates the fixed 32-byte shape
+      // (leakage discipline); there is no SuResponseMsg for this rid.
+      rid = core::FastDenyMsg::decode(msg.payload).request_id;
+      std::lock_guard<std::mutex> lk(rmu_);
+      fast_denied_.insert(rid);
+    } else if (msg.type == core::kMsgSuResponse) {
+      auto resp = core::SuResponseMsg::decode(msg.payload);
+      rid = resp.request_id;
+      std::lock_guard<std::mutex> lk(rmu_);
+      responses_.insert_or_assign(rid, std::move(resp));
+    } else {
+      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
     }
     // Probe before notify: a waiter that wakes for this id observes the
     // load generator's completion timestamp already recorded.
-    if (on_response_) on_response_(request_id);
+    if (complete && on_response_) on_response_(rid);
     rcv_.notify_all();
   });
   core::KeyRegisterMsg reg{su_id, crypto::serialize(client->public_key())};
@@ -192,50 +119,31 @@ void RpcClient::send_pir_updates(std::uint32_t pu_id,
 
 RpcClient::PuUpdateHandle RpcClient::pu_update(std::uint32_t pu_id,
                                                const watch::PuTuning& tuning) {
-  auto update = pu(pu_id).make_update(tuning);
-  PuUpdateHandle h;
-  h.pu_id = pu_id;
-  h.net_seq = next_pin_seq_++;
-  h.bytes = update.encode(group_pk_.ciphertext_bytes());
+  PuUpdateHandle h{pu_id, next_pin_seq_++,
+                   pu(pu_id).make_update(tuning).encode(group_pk_.ciphertext_bytes())};
   resend_pu_update(h);
   send_pir_updates(pu_id, tuning);
   return h;
-}
-
-void RpcClient::resend_pu_update(const PuUpdateHandle& handle) {
-  net::Message m;
-  m.from = "pu_" + std::to_string(handle.pu_id);
-  m.to = "sdc";
-  m.type = core::kMsgPuUpdate;
-  m.payload = handle.bytes;
-  m.net_seq = handle.net_seq;  // pinned: duplicates dedup at the SDC
-  tcp_.send(std::move(m));
 }
 
 std::optional<RpcClient::PuUpdateHandle> RpcClient::pu_delta(
     std::uint32_t pu_id, const watch::PuTuning& tuning) {
   auto delta = pu(pu_id).make_delta(tuning);
   if (!delta) return std::nullopt;
-  PuUpdateHandle h;
-  h.pu_id = pu_id;
-  h.net_seq = next_pin_seq_++;
-  h.bytes = delta->encode(group_pk_.ciphertext_bytes());
+  PuUpdateHandle h{pu_id, next_pin_seq_++,
+                   delta->encode(group_pk_.ciphertext_bytes())};
   resend_pu_delta(h);
   send_pir_updates(pu_id, tuning);
   return h;
 }
 
-void RpcClient::resend_pu_delta(const PuUpdateHandle& handle) {
-  net::Message m;
-  m.from = "pu_" + std::to_string(handle.pu_id);
-  m.to = "sdc";
-  m.type = core::kMsgPuDelta;
-  m.payload = handle.bytes;
-  // Pinned seq dedups transport-level duplicates; the engine's per-PU
-  // delta_seq additionally folds each delta exactly once even when a crash
-  // tore a partial application (shards re-check their own applied seq).
-  m.net_seq = handle.net_seq;
-  tcp_.send(std::move(m));
+void RpcClient::send_pinned(const PuUpdateHandle& handle, const std::string& type) {
+  // Pinned seq: transport-level duplicates dedup at the SDC. For deltas the
+  // engine's per-PU delta_seq additionally folds each delta exactly once
+  // even when a crash tore a partial application (shards re-check their
+  // own applied seq).
+  tcp_.send({"pu_" + std::to_string(handle.pu_id), "sdc", type, handle.bytes,
+             handle.net_seq});
 }
 
 RpcClient::PreparedRequest RpcClient::prepare_request(
@@ -329,18 +237,9 @@ RpcClient::PirOutcome RpcClient::pir_request(std::uint32_t su_id,
   }
   for (const auto& r : got) out.reply_bytes += r.encode().size();
 
-  try {
-    auto raw = client.reconstruct(got);
-    std::vector<std::vector<std::int64_t>> rows;
-    rows.reserve(raw.size());
-    for (const auto& r : raw)
-      rows.push_back(pir::decode_budget_row(r, cfg_.watch.channels));
-    auto decision = pir::evaluate_rows(cfg_.watch, f, block_lo, rows);
-    out.completed = true;
-    out.granted = decision.granted;
-  } catch (const std::runtime_error& e) {
-    out.failure = e.what();
-  }
+  auto decision = client.decide(got, cfg_.watch, f, block_lo, &out.failure);
+  out.completed = decision.has_value();
+  out.granted = decision && decision->granted;
   return out;
 }
 

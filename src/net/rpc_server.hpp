@@ -1,21 +1,22 @@
 // Async RPC serving front-end over the TCP transport (DESIGN.md §3.7).
 //
-// RpcServer hosts the two infrastructure entities — StpServer and
-// SdcServer — behind one TcpTransport listener. Frames arriving from any
-// connection are dispatched serially into the entities' existing attach()
-// handlers (the same ones the simulated network drives), so the whole
-// Figure 4/5 protocol logic is reused verbatim; the entities fan work out
-// on the shared exec::ThreadPool internally, which is what makes the
-// front-end async: the I/O thread keeps accepting and reading while a
-// request is deep in a Paillier pipeline. SDC↔STP conversion traffic stays
-// in-process (both endpoints are local to the transport, so it rides the
-// dispatch lane without touching a socket), exactly like the co-located
-// deployment the paper's Figure 6 accounting assumes.
+// RpcServer hosts the server side of a deployment — one core::ServerStack
+// (StpServer, SdcServer, the PIR replicas) — behind one TcpTransport
+// listener. Frames arriving from any connection are dispatched serially
+// into the entities' existing attach() handlers (the same ones the
+// simulated network drives), so the whole Figure 4/5 protocol logic is
+// reused verbatim; the entities fan work out on the shared exec::ThreadPool
+// internally, which is what makes the front-end async: the I/O thread keeps
+// accepting and reading while a request is deep in a Paillier pipeline.
+// SDC↔STP conversion traffic stays in-process (both endpoints are local to
+// the transport, so it rides the dispatch lane without touching a socket),
+// exactly like the co-located deployment the paper's Figure 6 accounting
+// assumes.
 //
-// Construction order mirrors PisaSystem byte for byte — STP keygen, SDC
-// keygen, threshold share, thread pools, attach — so a PisaSystem built
-// from an identically-seeded rng is a bit-exact oracle for this server:
-// same group key, same RSA license key, same per-entity ChaCha streams.
+// PisaSystem assembles its servers through the same ServerStack, so a
+// PisaSystem built from an identically-seeded rng is a bit-exact oracle for
+// this server by construction: same group key, same RSA license key, same
+// per-entity ChaCha streams.
 //
 // RpcClient is the matching client bundle: it owns the SU/PU client
 // objects, one client TcpTransport multiplexing every logical session over
@@ -38,13 +39,12 @@
 
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
+#include "core/messages.hpp"
 #include "core/pu_client.hpp"
-#include "core/sdc_server.hpp"
-#include "core/stp_server.hpp"
+#include "core/server_stack.hpp"
 #include "core/su_client.hpp"
 #include "net/tcp_transport.hpp"
 #include "pir/pir_client.hpp"
-#include "pir/pir_replica.hpp"
 #include "watch/matrices.hpp"
 #include "watch/plain_sdc.hpp"
 
@@ -52,56 +52,50 @@ namespace pisa::rpc {
 
 class RpcServer {
  public:
-  /// Build STP + SDC from `rng` (PisaSystem construction order), attach
-  /// them to a fresh TcpTransport and start listening on 127.0.0.1:`port`
-  /// (0 = ephemeral; read the bound port back with port()).
+  /// Build the ServerStack from `rng`, attach it to a fresh TcpTransport
+  /// and start listening on 127.0.0.1:`port` (0 = ephemeral; read the
+  /// bound port back with port()).
   explicit RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts = {}, std::uint16_t port = 0);
+  /// Stops the transport first: no handler may run while the entities die.
+  ~RpcServer() { tcp_.stop(); }
 
   std::uint16_t port() const { return tcp_.port(); }
 
   const crypto::PaillierPublicKey& group_key() const {
-    return stp_->group_key();
+    return stack_.stp().group_key();
   }
   const crypto::RsaPublicKey& license_key() const {
-    return sdc_->license_key();
+    return stack_.sdc().license_key();
   }
 
-  core::SdcServer& sdc() { return *sdc_; }
-  core::StpServer& stp() { return *stp_; }
-  bool sdc_running() const { return sdc_ != nullptr; }
+  core::SdcServer& sdc() { return stack_.sdc(); }
+  core::StpServer& stp() { return stack_.stp(); }
+  bool sdc_running() const { return stack_.sdc_running(); }
 
-  /// PR 6 restart semantics on the socket path: the endpoint leaves the
-  /// transport first (in-flight frames to "sdc" become delivery failures,
-  /// never late deliveries), then the entity and all its in-memory state
-  /// are destroyed. restart_sdc() rebuilds it exactly like PisaSystem does.
-  void crash_sdc();
-  core::SdcServer& restart_sdc();
+  /// §3.6 restart semantics on the socket path (ServerStack::crash_sdc):
+  /// in-flight frames to "sdc" become delivery failures, never late
+  /// deliveries.
+  void crash_sdc() { stack_.crash_sdc(); }
+  core::SdcServer& restart_sdc() { return stack_.restart_sdc(); }
 
   /// §3.10: replica `index` (0 = SDC-hosted), or nullptr when crashed /
   /// not in PIR mode.
-  pir::PirServer* pir_replica(std::size_t index);
+  pir::PirServer* pir_replica(std::size_t index) { return stack_.pir_replica(index); }
 
-  /// Kill a standalone replica (index ≥ 1): endpoint off the transport,
-  /// object destroyed. A query in flight to it times out at the client —
-  /// typed, never a partial reconstruction. Idempotent.
-  void crash_pir_replica(std::size_t index);
+  /// Kill a standalone replica (index ≥ 1). A query in flight to it times
+  /// out at the client — typed, never a partial reconstruction. Idempotent.
+  void crash_pir_replica(std::size_t index) { stack_.crash_pir_replica(index); }
 
   /// Off-path STP pool maintenance (always-warm mode); benches call this
   /// between waves, mirroring PisaSystem's post-drain call.
-  void maintain_pools() { stp_->maintain_pools(); }
+  void maintain_pools() { stack_.stp().maintain_pools(); }
 
   net::TcpTransport& transport() { return tcp_; }
 
  private:
-  core::PisaConfig cfg_;
-  bn::RandomSource& rng_;
+  core::ServerStack stack_;
   net::TcpTransport tcp_;
-  std::shared_ptr<exec::ThreadPool> exec_;
-  std::unique_ptr<core::StpServer> stp_;
-  std::unique_ptr<core::SdcServer> sdc_;
-  /// §3.10 standalone replicas 1..ℓ−1 (null slot = crashed).
-  std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;
 };
 
 class RpcClient {
@@ -114,6 +108,9 @@ class RpcClient {
   RpcClient(const core::PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
             std::string host, std::uint16_t port, bn::RandomSource& rng,
             net::TcpOptions opts = {});
+  /// Stops the transport first: the dispatch thread's SU handlers use the
+  /// response registry below, which must outlive every handler call.
+  ~RpcClient() { tcp_.stop(); }
 
   /// Create an SU client, register "su_<id>" as a local endpoint feeding
   /// the response registry, and upload pk_j to the STP (paper §III-C). The
@@ -138,14 +135,18 @@ class RpcClient {
     std::vector<std::uint8_t> bytes;
   };
   PuUpdateHandle pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning);
-  void resend_pu_update(const PuUpdateHandle& handle);
+  void resend_pu_update(const PuUpdateHandle& handle) {
+    send_pinned(handle, core::kMsgPuUpdate);
+  }
 
   /// §3.9 incremental update over the socket, with the same pinned-seq
   /// re-send discipline as pu_update. Returns nullopt (nothing sent) when
   /// the PU's delivered footprint already matches `tuning`.
   std::optional<PuUpdateHandle> pu_delta(std::uint32_t pu_id,
                                          const watch::PuTuning& tuning);
-  void resend_pu_delta(const PuUpdateHandle& handle);
+  void resend_pu_delta(const PuUpdateHandle& handle) {
+    send_pinned(handle, core::kMsgPuDelta);
+  }
 
   /// An encrypted request, built off the clock: benches prepare every
   /// session's request first, then pour the whole burst down the pipe.
@@ -220,6 +221,9 @@ class RpcClient {
   /// Logical peers multiplexed over the one connection: sdc + stp, plus
   /// every PIR replica in PIR mode.
   std::vector<std::string> route_names() const;
+
+  /// Send a PU frame under its pinned net_seq (first send or re-send).
+  void send_pinned(const PuUpdateHandle& handle, const std::string& type);
 
   /// PIR mode: ship the PU's current plaintext column to every replica
   /// (pinned seqs — replica-side dedup keeps versions in lockstep under

@@ -56,17 +56,22 @@ TcpTransport::TcpTransport(TcpOptions opts) : opts_(opts) {
 TcpTransport::~TcpTransport() { stop(); }
 
 void TcpTransport::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    if (io_thread_.joinable()) io_thread_.join();
-    if (dispatch_thread_.joinable()) dispatch_thread_.join();
-    return;
+  bool was_stopping;
+  {
+    // Raised under dmu_: the dispatch and quiesce() waits test the flag
+    // under it, so none can sit between its check and its block when the
+    // notify below fires (a lost wake-up would hang the join).
+    std::lock_guard<std::mutex> dlk(dmu_);
+    was_stopping = stopping_.exchange(true);
   }
-  wake_io();
-  dispatch_cv_.notify_all();
-  dispatch_idle_cv_.notify_all();
+  if (!was_stopping) {
+    wake_io();
+    dispatch_cv_.notify_all();
+    dispatch_idle_cv_.notify_all();
+  }
   if (io_thread_.joinable()) io_thread_.join();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
+  if (was_stopping) return;
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& [id, conn] : conns_) {
     if (conn->fd >= 0) ::close(conn->fd);
@@ -74,8 +79,7 @@ void TcpTransport::stop() {
   }
   conns_.clear();
   routes_.clear();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
+  if (int fd = listen_fd_.exchange(-1); fd >= 0) ::close(fd);
   ::close(wake_fd_);
   ::close(epfd_);
   wake_fd_ = epfd_ = -1;
@@ -120,16 +124,19 @@ std::uint16_t TcpTransport::listen(std::uint16_t port) {
     throw_errno("getsockname");
   }
   set_nonblocking(fd);
+  // Publish the fd before epoll can report it: an early connect wakes the
+  // I/O thread, whose handle_accept() reads listen_fd_ without mu_.
+  listen_fd_.store(fd);
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenTag;
   if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
     int e = errno;
+    listen_fd_.store(-1);
     ::close(fd);
     errno = e;
     throw_errno("epoll_ctl(listen)");
   }
-  listen_fd_ = fd;
   port_ = ntohs(addr.sin_port);
   return port_;
 }
@@ -310,7 +317,7 @@ void TcpTransport::close_conn_locked(Conn& c) {
 
 void TcpTransport::handle_accept() {
   for (;;) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
+    int fd = ::accept4(listen_fd_.load(), nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;

@@ -221,7 +221,7 @@ class TcpTransport final : public Transport {
 
   int epfd_ = -1;
   int wake_fd_ = -1;
-  int listen_fd_ = -1;
+  std::atomic<int> listen_fd_{-1};  // read lock-free by handle_accept()
   std::uint16_t port_ = 0;
 
   mutable std::mutex mu_;

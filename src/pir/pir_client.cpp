@@ -4,6 +4,8 @@
 #include <span>
 #include <stdexcept>
 
+#include "pir/pir_database.hpp"
+
 namespace pisa::pir {
 
 PirClient::PirClient(std::uint32_t su_id, std::size_t replicas,
@@ -78,6 +80,22 @@ std::vector<std::vector<std::uint8_t>> PirClient::reconstruct(
     }
   }
   return rows;
+}
+
+std::optional<watch::Decision> PirClient::decide(
+    const std::vector<PirReplyMsg>& replies, const watch::WatchConfig& cfg,
+    const watch::QMatrix& f_matrix, std::uint32_t block_lo,
+    std::string* failure) const {
+  std::vector<std::vector<std::int64_t>> rows;
+  try {
+    auto raw = reconstruct(replies);
+    rows.reserve(raw.size());
+    for (const auto& r : raw) rows.push_back(decode_budget_row(r, cfg.channels));
+  } catch (const std::runtime_error& e) {
+    *failure = e.what();
+    return std::nullopt;
+  }
+  return evaluate_rows(cfg, f_matrix, block_lo, rows);
 }
 
 watch::Decision evaluate_rows(

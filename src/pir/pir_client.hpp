@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bigint/random_source.hpp"
@@ -51,6 +53,18 @@ class PirClient {
   /// not be silently mixed into one reconstruction.
   std::vector<std::vector<std::uint8_t>> reconstruct(
       const std::vector<PirReplyMsg>& replies) const;
+
+  /// The SU's whole decision step, shared by the simulated and socket
+  /// paths: reconstruct `replies`, decode each row's `cfg.channels`
+  /// budgets and evaluate F on [block_lo, …) with evaluate_rows. Returns
+  /// nullopt with `*failure` set when reconstruct refuses the replies
+  /// (diverged replicas — the caller may retry); evaluate_rows' own errors
+  /// propagate, as with the plaintext oracle.
+  std::optional<watch::Decision> decide(const std::vector<PirReplyMsg>& replies,
+                                        const watch::WatchConfig& cfg,
+                                        const watch::QMatrix& f_matrix,
+                                        std::uint32_t block_lo,
+                                        std::string* failure) const;
 
  private:
   std::uint32_t su_id_;

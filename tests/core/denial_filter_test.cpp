@@ -169,7 +169,9 @@ TEST_F(DenialFilterFixture, DecisionsIdenticalToFilterOffOracle) {
     EXPECT_EQ(on.granted, expected) << "round " << round << " block " << block;
     EXPECT_EQ(off.granted, expected) << "round " << round << " block " << block;
     EXPECT_FALSE(off.fast_denied) << "filter-off must never fast-deny";
-    if (on.fast_denied) EXPECT_FALSE(on.granted);
+    if (on.fast_denied) {
+      EXPECT_FALSE(on.granted);
+    }
     (expected ? grants : denies)++;
   }
   EXPECT_GT(grants, 0u) << "sweep must exercise the grant path";

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -57,12 +58,12 @@ struct Collected {
 };
 
 TEST(TcpTransport, EchoRoundTripOverLoopback) {
+  Collected got;  // outlives the transports: their dispatch threads push
   TcpTransport server, client;
   ScopedListener listener(server);
   server.register_endpoint("srv", [&server](const Message& m) {
     server.send({"srv", m.from, "echo", m.payload, 0});
   });
-  Collected got;
   client.register_endpoint("cli", [&got](const Message& m) { got.push(m); });
   client.connect("127.0.0.1", listener.port(), {"srv"});
 
@@ -86,12 +87,12 @@ TEST(TcpTransport, EchoRoundTripOverLoopback) {
 }
 
 TEST(TcpTransport, ManyLogicalSessionsMultiplexOneConnection) {
+  Collected got;  // outlives the transports: their dispatch threads push
   TcpTransport server, client;
   ScopedListener listener(server);
   server.register_endpoint("srv", [&server](const Message& m) {
     server.send({"srv", m.from, "echo", m.payload, 0});
   });
-  Collected got;
   constexpr int kSessions = 50;
   for (int i = 0; i < kSessions; ++i)
     client.register_endpoint("c_" + std::to_string(i),
@@ -113,9 +114,9 @@ TEST(TcpTransport, RemovedEndpointFailsDeliveryUntilReRegistered) {
   // PR 6 restart composition: frames for a name that left the transport
   // become recorded delivery failures — never late deliveries — and a
   // re-registered endpoint (the restarted entity) serves again.
+  Collected got;  // outlives the transports: their dispatch threads push
   TcpTransport server, client;
   ScopedListener listener(server);
-  Collected got;
   server.register_endpoint("svc", [&got](const Message& m) { got.push(m); });
   client.connect("127.0.0.1", listener.port(), {"svc"});
 
@@ -139,10 +140,10 @@ TEST(TcpTransport, RemovedEndpointFailsDeliveryUntilReRegistered) {
 }
 
 TEST(TcpTransport, TimersFireInOrderOnTheDispatchThread) {
-  TcpTransport t;
   std::mutex mu;
   std::condition_variable cv;
   std::vector<int> order;
+  TcpTransport t;  // declared last: stopped before the timers' state dies
   auto push = [&](int v) {
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -209,9 +210,9 @@ TEST(TcpTransport, AdmissionControlShedsConnectionsOverTheCap) {
 }
 
 TEST(TcpTransport, CorruptStreamDropsOnlyThatConnection) {
+  Collected got;  // outlives the transports: their dispatch threads push
   TcpTransport server, client;
   ScopedListener listener(server);
-  Collected got;
   server.register_endpoint("srv", [&got](const Message& m) { got.push(m); });
 
   // A hostile raw peer sends garbage: its connection dies poisoned...
@@ -322,6 +323,43 @@ TEST_P(TcpVsSimulated, ConcurrentSessionsAreByteIdenticalToOracle) {
 
 INSTANTIATE_TEST_SUITE_P(PackSlots, TcpVsSimulated,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
+
+// --- teardown ----------------------------------------------------------------
+
+// A server/client pair destroyed with SU requests, a PU fold and replies
+// still in flight. Each destructor stops its transport (I/O and dispatch
+// threads joined) before the entities or the response registry die, so no
+// handler can run against freed state; under ASan/TSan any violation is a
+// report. Rounds vary how deep the burst got and which side dies first.
+TEST(RpcTeardown, DestroyingPairWithRequestsInFlightIsSafe) {
+  core::PisaConfig cfg = packed_config(1);
+  cfg.num_threads = 2;
+  const watch::QMatrix f(cfg.watch.channels,
+                         cfg.watch.grid_rows * cfg.watch.grid_cols);
+  for (std::uint64_t round = 0; round < 16; ++round) {
+    crypto::ChaChaRng server_rng{0x7EA0 + 2 * round};
+    crypto::ChaChaRng client_rng{0x7EA1 + 2 * round};
+    auto server = std::make_unique<rpc::RpcServer>(cfg, server_rng);
+    auto client = std::make_unique<rpc::RpcClient>(
+        cfg, server->group_key(), "127.0.0.1", server->port(), client_rng);
+    client->add_pu(test_sites()[0]);
+    client->add_su(1);
+    client->pu_update(0, {ChannelId{0}, 1e-6});
+    std::vector<rpc::RpcClient::PreparedRequest> burst;
+    for (int i = 0; i < 4; ++i) burst.push_back(client->prepare_request(1, f));
+    for (const auto& p : burst) client->submit(p);
+    if (round % 2 == 1) {
+      ASSERT_TRUE(client->wait_response(burst[0].request_id, nullptr, 60000));
+    }
+    if (round % 4 < 2) {
+      client.reset();
+      server.reset();
+    } else {
+      server.reset();
+      client.reset();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pisa::net
