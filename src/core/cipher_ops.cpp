@@ -6,83 +6,6 @@
 
 namespace pisa::core {
 
-namespace {
-
-std::size_t check_column(const CipherMatrix& m, std::uint32_t block,
-                         std::size_t column_size) {
-  if (block >= m.blocks())
-    throw std::out_of_range("cipher_ops: block outside the matrix");
-  if (column_size != m.channels())
-    throw std::invalid_argument(
-        "cipher_ops: column must have one entry per channel(-group) row");
-  return m.channels();
-}
-
-}  // namespace
-
-void add_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk, exec::ThreadPool* pool) {
-  std::size_t channels = check_column(m, block, column.size());
-  exec::parallel_for(pool, 0, channels, [&](std::size_t c) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(c)},
-                      radio::BlockId{block});
-    cell = pk.add(cell, column[c]);
-  });
-}
-
-void sub_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk, exec::ThreadPool* pool) {
-  std::size_t channels = check_column(m, block, column.size());
-  exec::parallel_for(pool, 0, channels, [&](std::size_t c) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(c)},
-                      radio::BlockId{block});
-    cell = pk.sub(cell, column[c]);
-  });
-}
-
-namespace {
-
-std::size_t check_range(const CipherMatrix& m, std::uint32_t block,
-                        std::size_t column_size, std::size_t g_begin,
-                        std::size_t g_end) {
-  if (block >= m.blocks())
-    throw std::out_of_range("cipher_ops: block outside the matrix");
-  if (g_begin > g_end || g_end > m.channels())
-    throw std::out_of_range("cipher_ops: bad channel-group range");
-  if (column_size != g_end - g_begin)
-    throw std::invalid_argument(
-        "cipher_ops: column slice must match the channel-group range");
-  return g_end - g_begin;
-}
-
-}  // namespace
-
-void add_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end) {
-  std::size_t count = check_range(m, block, column.size(), g_begin, g_end);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(g_begin + i)},
-                      radio::BlockId{block});
-    cell = pk.add(cell, column[i]);
-  }
-}
-
-void sub_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end) {
-  std::size_t count = check_range(m, block, column.size(), g_begin, g_end);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto& cell = m.at(radio::ChannelId{static_cast<std::uint32_t>(g_begin + i)},
-                      radio::BlockId{block});
-    cell = pk.sub(cell, column[i]);
-  }
-}
-
 CipherMatrix encrypt_matrix_deterministic(const watch::QMatrix& values,
                                           const crypto::PaillierPublicKey& pk,
                                           exec::ThreadPool* pool) {

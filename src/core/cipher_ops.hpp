@@ -1,17 +1,15 @@
-// Batch homomorphic operations over ciphertext matrices (the SDC's Ñ
-// budget, eq. (9)/(10)). Every entry of a column/matrix op is independent,
-// so these are the natural parallel_for kernels the SdcServer routes
-// through; a null pool degrades to the original sequential loops.
+// Ciphertext matrices (the SDC's Ñ budget, eq. (9)/(10)) and their
+// deterministic initialization. Every entry is independent, so the
+// encryption runs as a parallel_for kernel; a null pool degrades to the
+// sequential loop.
 //
 // With slot packing (crypto::SlotCodec, DESIGN.md §3.4) the matrices shrink
 // from C×B to ⌈C/k⌉×B: each "channel" row is a channel *group* of k packed
-// slots, and the column kernels below fold k protocol entries per
-// homomorphic multiplication without change — packed addition is ordinary
-// ciphertext addition.
+// slots, and every homomorphic fold over an entry covers k protocol entries
+// — packed addition is ordinary ciphertext addition.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "crypto/packing.hpp"
 #include "crypto/paillier.hpp"
@@ -25,34 +23,6 @@ class ThreadPool;
 namespace pisa::core {
 
 using CipherMatrix = radio::CbMatrix<crypto::PaillierCiphertext>;
-
-/// m(c, block) ⊕= column[c] for every channel c (one PU update column).
-void add_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk,
-                exec::ThreadPool* pool = nullptr);
-
-/// m(c, block) ⊖= column[c] for every channel c (retracting a stale column).
-void sub_column(CipherMatrix& m, std::uint32_t block,
-                std::span<const crypto::PaillierCiphertext> column,
-                const crypto::PaillierPublicKey& pk,
-                exec::ThreadPool* pool = nullptr);
-
-/// Shard-slice variants (DESIGN.md §3.6): fold `column` — the slice a shard
-/// owns, indexed relative to g_begin — into rows [g_begin, g_end) only.
-/// Sequential on purpose: in the sharded engine each shard is already one
-/// lane of an outer parallel_for, so the inner loop must not re-enter the
-/// pool. Entry-for-entry these perform the same pk.add/pk.sub calls as the
-/// full-column kernels, so a column folded slice-by-slice across shards is
-/// byte-identical to one add_column over the whole matrix.
-void add_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end);
-void sub_column_range(CipherMatrix& m, std::uint32_t block,
-                      std::span<const crypto::PaillierCiphertext> column,
-                      const crypto::PaillierPublicKey& pk, std::size_t g_begin,
-                      std::size_t g_end);
 
 /// Deterministic entry-wise encryption of a public plaintext matrix
 /// (budget initialization from E; values must be >= 0).

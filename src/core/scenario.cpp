@@ -83,7 +83,7 @@ std::vector<ScenarioEvent> make_viewing_workload(
             rng.next_u64() % cfg.watch.channels)};
         tuning.signal_mw = 1e-7 * static_cast<double>(rng.next_u64() % 50 + 1);
       }
-      events.push_back({t, PuTuneEvent{pu, tuning}});
+      events.emplace_back(t, PuTuneEvent{pu, tuning});
       t += exp_gap(switches_per_hour / 3600.0);
     }
   }

@@ -134,36 +134,17 @@ crypto::PaillierCiphertext& SdcServer::budget_at(std::uint32_t group,
 
 void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
   auto t0 = Clock::now();
-  // §3.8: a fold changes Ñ at the PU's new block and (on a move) its old
-  // one. Capture both before the apply overwrites the stored column.
-  std::vector<std::uint32_t> touched;
-  if (cfg_.denial_filter.enabled) {
-    touched.push_back(update.block);
-    auto prev = state_.pu_block(update.pu_id);
-    if (prev && *prev != update.block) touched.push_back(*prev);
-  }
-  // The engine validates the column shape, retracts this PU's previous
-  // contribution (if any), folds the new column — per-shard lanes with
-  // num_shards > 1 — and journals the slices first when durability is on.
-  state_.apply_pu_update(update);
-  // Conservative invalidation: touched blocks leave the filter *now*, so
-  // no request can be fast-denied on pre-fold budget state. Exhaustion
-  // only returns once the STP confirms the post-fold signs; until then the
-  // full pipeline serves those blocks — slower, never wrong. Direct-call
-  // mode (no transport) cannot probe, so the filter simply stays empty.
-  if (!touched.empty()) {
-    const std::size_t groups = cfg_.channel_groups();
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
-    cells.reserve(touched.size() * groups);
-    for (std::uint32_t b : touched) {
-      state_.invalidate_block(b);
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
-        cells.emplace_back(g, b);
-      }
-    }
-    if (net_ != nullptr) send_budget_probe(cells);
-  }
+  // A full column is a reset fold: the engine validates it, retracts the
+  // PU's whole stored contribution (previous column plus any deltas since),
+  // adds the column — per-shard lanes with num_shards > 1 — journaling the
+  // slices first when durability is on, and reports every block the fold
+  // moved, the column's block first. Each of those blocks is re-probed in
+  // full.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
+  for (std::uint32_t b : state_.apply_pu_update(update))
+    for (std::uint32_t g = 0; g < cfg_.channel_groups(); ++g)
+      cells.emplace_back(g, b);
+  reprobe(cells);
   ++stats_.pu_updates;
   ++folds_applied_;
   stats_.update.add(ms_since(t0));
@@ -171,35 +152,39 @@ void SdcServer::handle_pu_update(const PuUpdateMsg& update) {
 
 void SdcServer::handle_pu_delta(const PuDeltaMsg& delta) {
   auto t0 = Clock::now();
-  // Capture the touched cells before the fold: apply_pu_delta validates and
-  // may advance per-shard seq state, so a throw must leave the filter as-is.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
-  if (cfg_.denial_filter.enabled) {
-    cells.reserve(delta.cells.size());
-    for (const auto& cell : delta.cells) cells.emplace_back(cell.group, cell.block);
-  }
+  // apply_pu_delta validates before any mutation, so a throw leaves the
+  // filter as-is. Only the carried cells are re-probed.
   state_.apply_pu_delta(delta);
-  if (!cells.empty()) {
-    // Cell-granular conservative invalidation: only the folded cells lose
-    // their recorded exhaustion (update_block_exhaustion with an empty
-    // evidence set); untouched groups of the same block keep theirs — their
-    // budget entries did not move. Blocks are processed in first-appearance
-    // order, matching the probe's cell order.
-    std::vector<std::uint32_t> order;
-    std::map<std::uint32_t, std::vector<std::uint32_t>> by_block;
-    for (const auto& [g, b] : cells) {
-      auto [it, fresh] = by_block.try_emplace(b);
-      if (fresh) order.push_back(b);
-      it->second.push_back(g);
-      ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
-    }
-    for (std::uint32_t b : order) state_.update_block_exhaustion(b, by_block[b], {});
-    if (net_ != nullptr) send_budget_probe(cells);
-  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> cells;
+  for (const auto& cell : delta.cells) cells.emplace_back(cell.group, cell.block);
+  reprobe(cells);
   ++stats_.pu_deltas;
   ++folds_applied_;
   stats_.delta_cells += delta.cells.size();
   stats_.delta.add(ms_since(t0));
+}
+
+void SdcServer::reprobe(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells) {
+  if (!cfg_.denial_filter.enabled) return;
+  // Conservative invalidation: the folded cells leave the filter *now*
+  // (update_block_exhaustion with an empty evidence set), so no request can
+  // be fast-denied on pre-fold budget state; untouched groups of the same
+  // block keep theirs — their budget entries did not move. Exhaustion only
+  // returns once the STP confirms the post-fold signs; until then the full
+  // pipeline serves those cells — slower, never wrong. Blocks go in
+  // first-appearance order, matching the probe's cell order. Direct-call
+  // mode (no transport) cannot probe, so the filter simply stays empty.
+  std::vector<std::uint32_t> order;
+  std::map<std::uint32_t, std::vector<std::uint32_t>> by_block;
+  for (const auto& [g, b] : cells) {
+    auto [it, fresh] = by_block.try_emplace(b);
+    if (fresh) order.push_back(b);
+    it->second.push_back(g);
+    ++cell_epoch_[SdcStateEngine::cell_key(g, b)];
+  }
+  for (std::uint32_t b : order) state_.update_block_exhaustion(b, by_block[b], {});
+  if (net_ != nullptr) send_budget_probe(cells);
 }
 
 void SdcServer::recompute_budget() {

@@ -66,18 +66,18 @@ class SdcServer {
   /// of every blinded Ṽ entry so the STP can open only those.
   void set_threshold_share(crypto::ThresholdKeyShare share);
 
-  /// Figure 4 step 4: fold a PU's W̃ column into Ñ. Incremental: retract the
-  /// PU's previous column homomorphically, then add the new one.
+  /// Figure 4 step 4: fold a PU's W̃ column into Ñ as a reset: retract the
+  /// PU's whole stored contribution homomorphically, then add the column.
+  /// Every block the fold moved is invalidated and re-probed in full.
   void handle_pu_update(const PuUpdateMsg& update);
 
   /// §3.9 delta fold: multiply each carried cell into Ñ — O(cells) work —
-  /// then conservatively invalidate exactly those cells' filter state and
-  /// re-probe them (the full path re-probes whole blocks). Same
+  /// then invalidate and re-probe exactly those cells. Same
   /// external-decision semantics as replaying the PU's full column.
   void handle_pu_delta(const PuDeltaMsg& delta);
 
-  /// Ablation path: rebuild Ñ from Ẽ and every stored W̃ column (the paper's
-  /// literal "aggregate all PU inputs" formulation, eq. (9)/(10)).
+  /// Ablation path: rebuild Ñ from Ẽ and every stored PU contribution (the
+  /// paper's literal "aggregate all PU inputs" formulation, eq. (9)/(10)).
   void recompute_budget();
 
   /// Figure 5 steps 3–5: compute R̃, Ĩ, blind into Ṽ, remember ε, return the
@@ -104,7 +104,7 @@ class SdcServer {
   const CipherMatrix& encrypted_budget() const { return state_.budget(); }
 
   /// The sharded durable state engine behind this server (DESIGN.md §3.6):
-  /// Ñ, the stored W̃ columns and the serial counter live there, sliced
+  /// Ñ, the stored PU contributions and the serial counter live there, sliced
   /// across cfg.num_shards lanes and — with durability on — journaled to
   /// per-shard WALs in cfg.durability.dir.
   const SdcStateEngine& state() const { return state_; }
@@ -195,10 +195,13 @@ class SdcServer {
   /// N ≤ 0 at one covered cell already forces I = N − X·F ≤ N ≤ 0 there
   /// (F̃ encrypts non-negative interference), i.e. a certain denial.
   bool fast_deny_check(const SuRequestMsg& request);
+  /// The post-fold tail shared by both PU messages: bump the cells' epochs,
+  /// drop their recorded exhaustion and probe them. A column passes every
+  /// group of each moved block, block-major; a delta its carried cells.
+  void reprobe(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells);
   /// Blind the given (group, block) budget cells (ε·(α·Ñ − β̃), same
   /// envelope as eq. (14) without the F term) and ask the STP for their
-  /// signs. The full path passes block-major cells (every group of each
-  /// touched block); the delta path passes exactly the folded cells.
+  /// signs.
   void send_budget_probe(
       const std::vector<std::pair<std::uint32_t, std::uint32_t>>& cells);
   /// Fold a probe reply into the engine's exhausted sets, discarding cells
@@ -231,7 +234,8 @@ class SdcServer {
   std::array<std::uint8_t, 32> filter_key_{};
   std::shared_ptr<exec::ThreadPool> exec_;
 
-  /// Ñ, W̃ columns and the serial counter — sharded, optionally durable.
+  /// Ñ, PU contributions and the serial counter — sharded, optionally
+  /// durable.
   /// Declared after group_pk_/e_matrix_: its constructor consumes both, and
   /// with durability on it recovers the whole state from disk right here.
   SdcStateEngine state_;
@@ -250,8 +254,7 @@ class SdcServer {
   std::atomic<std::uint64_t> folds_applied_{0};
 
   // §3.8/§3.9 probe bookkeeping. A cell's epoch advances on every
-  // invalidation (full folds bump every cell of the touched blocks, delta
-  // folds only the carried cells); a probe reply only installs exhaustion
+  // invalidation (see reprobe); a probe reply only installs exhaustion
   // evidence for cells whose epoch still matches its send-time snapshot,
   // so a stale reply can never resurrect outdated state — the filter stays
   // conservative (invalidated = never fast-denied) in the meantime.

@@ -69,78 +69,23 @@ crypto::PaillierCiphertext& SdcStateEngine::budget_at(std::uint32_t group,
   return budget_.at(radio::ChannelId{group}, radio::BlockId{block});
 }
 
-void SdcStateEngine::apply_pu_update(const PuUpdateMsg& update) {
+std::vector<std::uint32_t> SdcStateEngine::apply_pu_update(
+    const PuUpdateMsg& update) {
   if (update.w_column.size() != map_.groups())
     throw std::invalid_argument(
         "SdcStateEngine: W column must have one ciphertext per channel group");
   if (update.block >= budget_.blocks())
     throw std::out_of_range("SdcStateEngine: PU block outside the service area");
-
-  if (map_.shards() == 1) {
-    // Single-lane fast path: the inner column kernels take the pool, which
-    // is exactly the pre-sharding SdcServer call sequence.
-    apply_slice(0, update, pool());
-  } else {
-    // One lane per shard; each writes only its own contiguous row range of
-    // budget_ and its own WAL, so lanes share nothing.
-    exec::parallel_for(pool(), 0, map_.shards(),
-                       [&](std::size_t s) { apply_slice(s, update, nullptr); });
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) maybe_compact(s);
-}
-
-void SdcStateEngine::apply_slice(std::size_t s, const PuUpdateMsg& update,
-                                 exec::ThreadPool* inner) {
-  auto& sh = shards_[s];
-  const std::size_t g0 = map_.begin(s), n = map_.size(s);
-
-  PuUpdateMsg slice;
-  slice.pu_id = update.pu_id;
-  slice.block = update.block;
-  slice.w_column.assign(update.w_column.begin() + static_cast<std::ptrdiff_t>(g0),
-                        update.w_column.begin() + static_cast<std::ptrdiff_t>(g0 + n));
-
-  // Journal before apply: once the record is on disk the update counts as
-  // applied — recovery replays it, and a crash between this append and the
-  // fold below cannot lose or double-count the column.
-  if (sh.store) sh.store->append(kRecPuColumn, slice.encode(ct_width_));
-
-  auto it = sh.columns.find(update.pu_id);
-  if (inner) {
-    // n == groups here (single shard): full-column kernels, pool-parallel.
-    if (it != sh.columns.end())
-      sub_column(budget_, it->second.block, it->second.w_column, pk_, inner);
-    add_column(budget_, slice.block, slice.w_column, pk_, inner);
-  } else {
-    if (it != sh.columns.end())
-      sub_column_range(budget_, it->second.block, it->second.w_column, pk_, g0,
-                       g0 + n);
-    add_column_range(budget_, slice.block, slice.w_column, pk_, g0, g0 + n);
-  }
-  // A full column resets the PU's contribution wholesale, so any §3.9 delta
-  // cells accumulated on top of the previous column are retracted with it.
-  if (it != sh.columns.end()) {
-    for (std::size_t g = g0; g < g0 + n; ++g)
-      sh.dirty.insert(cell_key(static_cast<std::uint32_t>(g), it->second.block));
-  }
-  retract_deltas(s, update.pu_id);
-  for (std::size_t g = g0; g < g0 + n; ++g)
-    sh.dirty.insert(cell_key(static_cast<std::uint32_t>(g), slice.block));
-  sh.columns.insert_or_assign(update.pu_id, std::move(slice));
-}
-
-void SdcStateEngine::retract_deltas(std::size_t s, std::uint32_t pu_id) {
-  auto& sh = shards_[s];
-  auto it = sh.deltas.find(pu_id);
-  if (it == sh.deltas.end()) return;
-  const std::size_t blocks = budget_.blocks();
-  for (const auto& [key, ct] : it->second) {
-    const std::size_t g = key >> 32, b = key & 0xffffffffu;
-    auto& entry = budget_[g * blocks + b];
-    entry = pk_.sub(entry, ct);
-    sh.dirty.insert(key);
-  }
-  sh.deltas.erase(it);
+  // The column as cells. A reset ignores the seq; PuDeltaMsg's codec only
+  // asks that the journaled one be nonzero.
+  PuDeltaMsg column{update.pu_id, /*delta_seq=*/1, {}};
+  for (std::uint32_t g = 0; g < map_.groups(); ++g)
+    column.cells.push_back({g, update.block, update.w_column[g]});
+  auto moved = fold_lanes(column, /*reset=*/true);
+  moved.erase(update.block);
+  std::vector<std::uint32_t> blocks{update.block};
+  blocks.insert(blocks.end(), moved.begin(), moved.end());
+  return blocks;
 }
 
 void SdcStateEngine::apply_pu_delta(const PuDeltaMsg& delta) {
@@ -158,81 +103,118 @@ void SdcStateEngine::apply_pu_delta(const PuDeltaMsg& delta) {
     if (!seen.insert(cell_key(cell.group, cell.block)).second)
       throw std::invalid_argument("SdcStateEngine: duplicate delta cell");
   }
-
-  if (map_.shards() == 1) {
-    apply_delta_slice(0, delta, /*live=*/true);
-  } else {
-    // Per-shard lanes, like apply_pu_update: each lane slices out its own
-    // cells and touches only its own rows, WAL and seq map. Shards with no
-    // cells in this delta do nothing — their seq guard stays behind, which
-    // is safe because a seq only orders the deltas that carry cells for
-    // that shard (delivery is ordered per PU).
-    exec::parallel_for(pool(), 0, map_.shards(), [&](std::size_t s) {
-      const std::size_t g0 = map_.begin(s), g1 = map_.end(s);
-      PuDeltaMsg slice;
-      slice.pu_id = delta.pu_id;
-      slice.delta_seq = delta.delta_seq;
-      for (const auto& cell : delta.cells)
-        if (cell.group >= g0 && cell.group < g1) slice.cells.push_back(cell);
-      if (!slice.cells.empty()) apply_delta_slice(s, slice, /*live=*/true);
-    });
-  }
-  for (std::size_t s = 0; s < shards_.size(); ++s) maybe_compact(s);
+  fold_lanes(delta, /*reset=*/false);
 }
 
-void SdcStateEngine::apply_delta_slice(std::size_t s, const PuDeltaMsg& slice,
-                                       bool live) {
+std::set<std::uint32_t> SdcStateEngine::fold_lanes(const PuDeltaMsg& msg,
+                                                   bool reset) {
+  std::vector<std::set<std::uint32_t>> moved(map_.shards());
+  if (map_.shards() == 1) {
+    // Single lane: a column's ⌈C/k⌉ cells take the pool, as the unsharded
+    // server's column kernels did; a delta's few cells stay sequential.
+    moved[0] = fold(0, msg, reset, /*live=*/true, reset ? pool() : nullptr);
+  } else {
+    // One lane per shard; each writes only its own contiguous row range of
+    // budget_, its own WAL and its own contribution map, so lanes share
+    // nothing. A shard with no cells in a delta does nothing — its seq
+    // guard stays behind, which is safe because a seq only orders the
+    // deltas that carry cells for that shard (delivery is ordered per PU).
+    exec::parallel_for(pool(), 0, map_.shards(), [&](std::size_t s) {
+      PuDeltaMsg slice{msg.pu_id, msg.delta_seq, {}};
+      for (const auto& cell : msg.cells)
+        if (map_.shard_of(cell.group) == s) slice.cells.push_back(cell);
+      if (!slice.cells.empty())
+        moved[s] = fold(s, slice, reset, /*live=*/true, nullptr);
+    });
+  }
+  std::set<std::uint32_t> all;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    maybe_compact(s);
+    all.merge(moved[s]);
+  }
+  return all;
+}
+
+std::set<std::uint32_t> SdcStateEngine::fold(std::size_t s,
+                                             const PuDeltaMsg& slice,
+                                             bool reset, bool live,
+                                             exec::ThreadPool* inner) {
   auto& sh = shards_[s];
-  auto seq_it = sh.delta_seqs.find(slice.pu_id);
+  auto& pu = sh.pus[slice.pu_id];
   // Exactly-once under ordered at-least-once delivery: a re-delivered (or
   // crash-torn, partially applied) delta is rejected by exactly the shards
-  // that already journaled it and applied by the rest.
-  if (seq_it != sh.delta_seqs.end() && slice.delta_seq <= seq_it->second)
-    return;
+  // that already journaled it and applied by the rest. A reset needs no
+  // guard — re-applying it retracts and re-adds identical cells — and
+  // leaves the guard where it was.
+  if (!reset && slice.delta_seq <= pu.delta_seq) return {};
 
-  // Journal before apply, like the column folds (replay reads the record
-  // that is already on disk).
-  if (live && sh.store) sh.store->append(kRecDelta, slice.encode(ct_width_));
+  // Journal before apply: once the record is on disk the fold counts as
+  // applied — recovery replays it, and a crash between this append and the
+  // fold below cannot lose or double-count it.
+  if (live && sh.store) {
+    net::Encoder enc;
+    enc.put_u8(reset ? 1 : 0);
+    enc.put_raw(slice.encode(ct_width_));
+    sh.store->append(kRecPuFold, enc.take());
+  }
 
   const std::size_t blocks = budget_.blocks();
-  auto& acc = sh.deltas[slice.pu_id];
+  auto entry = [&](std::uint64_t key) -> crypto::PaillierCiphertext& {
+    return budget_[(key >> 32) * blocks + (key & 0xffffffffu)];
+  };
+  std::set<std::uint32_t> moved;
+  auto touch = [&](std::uint64_t key) {
+    moved.insert(static_cast<std::uint32_t>(key & 0xffffffffu));
+    if (live) sh.dirty.insert(key);
+  };
+  if (reset) {
+    std::vector<const std::pair<const std::uint64_t, crypto::PaillierCiphertext>*>
+        old;
+    for (const auto& kv : pu.cells) old.push_back(&kv);
+    exec::parallel_for(inner, 0, old.size(), [&](std::size_t i) {
+      auto& e = entry(old[i]->first);
+      e = pk_.sub(e, old[i]->second);
+    });
+    for (const auto* kv : old) touch(kv->first);
+    pu.cells.clear();
+  }
+  // Cells within one slice are distinct (validated), so the adds are
+  // entry-independent.
+  exec::parallel_for(inner, 0, slice.cells.size(), [&](std::size_t i) {
+    const auto& cell = slice.cells[i];
+    auto& e = entry(cell_key(cell.group, cell.block));
+    e = pk_.add(e, cell.delta);
+  });
   for (const auto& cell : slice.cells) {
     const std::uint64_t key = cell_key(cell.group, cell.block);
-    auto& entry = budget_[cell.group * blocks + cell.block];
-    entry = pk_.add(entry, cell.delta);
-    auto [pos, inserted] = acc.try_emplace(key, cell.delta);
-    if (!inserted) pos->second = pk_.add(pos->second, cell.delta);
-    if (live) sh.dirty.insert(key);
+    auto [pos, fresh] = pu.cells.try_emplace(key, cell.delta);
+    if (!fresh) pos->second = pk_.add(pos->second, cell.delta);
+    touch(key);
   }
-  if (live) sh.delta_cells_folded += slice.cells.size();
-  sh.delta_seqs[slice.pu_id] = slice.delta_seq;
+  if (!reset) {
+    pu.delta_seq = slice.delta_seq;
+    if (live) sh.delta_cells_folded += slice.cells.size();
+  }
+  return moved;
 }
 
 void SdcStateEngine::recompute() {
   budget_ = encrypt_matrix_packed_deterministic(e_matrix_, pk_, codec_,
                                                 /*tail_fill=*/1, pool());
+  // One lane per channel-group row: rows are disjoint, and Paillier
+  // addition is commutative over canonical residues, so neither the lane
+  // split nor the PU order can change bytes.
   const std::size_t blocks = budget_.blocks();
-  auto add_deltas = [&](std::size_t s) {
-    for (const auto& [id, cells] : shards_[s].deltas)
-      for (const auto& [key, ct] : cells) {
-        const std::size_t g = key >> 32, b = key & 0xffffffffu;
-        budget_[g * blocks + b] = pk_.add(budget_[g * blocks + b], ct);
+  exec::parallel_for(pool(), 0, map_.groups(), [&](std::size_t g) {
+    const auto row = cell_key(static_cast<std::uint32_t>(g), 0);
+    for (const auto& [id, pu] : shards_[map_.shard_of(g)].pus) {
+      for (auto it = pu.cells.lower_bound(row);
+           it != pu.cells.end() && (it->first >> 32) == g; ++it) {
+        auto& e = budget_[g * blocks + (it->first & 0xffffffffu)];
+        e = pk_.add(e, it->second);
       }
-  };
-  if (map_.shards() == 1) {
-    for (const auto& [id, col] : shards_[0].columns)
-      add_column(budget_, col.block, col.w_column, pk_, pool());
-    add_deltas(0);
-  } else {
-    // Per-shard lanes again; Paillier addition is commutative over
-    // canonical residues, so per-shard column order cannot change bytes.
-    exec::parallel_for(pool(), 0, map_.shards(), [&](std::size_t s) {
-      const std::size_t g0 = map_.begin(s), n = map_.size(s);
-      for (const auto& [id, col] : shards_[s].columns)
-        add_column_range(budget_, col.block, col.w_column, pk_, g0, g0 + n);
-      add_deltas(s);
-    });
-  }
+    }
+  });
 }
 
 std::uint64_t SdcStateEngine::next_serial() {
@@ -250,12 +232,11 @@ std::uint64_t SdcStateEngine::next_serial() {
   return serial_;
 }
 
-std::optional<std::uint32_t> SdcStateEngine::pu_block(
-    std::uint32_t pu_id) const {
-  const auto& cols = shards_.front().columns;
-  auto it = cols.find(pu_id);
-  if (it == cols.end()) return std::nullopt;
-  return it->second.block;
+std::size_t SdcStateEngine::pu_count() const {
+  std::set<std::uint32_t> ids;
+  for (const auto& sh : shards_)
+    for (const auto& [id, pu] : sh.pus) ids.insert(id);
+  return ids.size();
 }
 
 SdcStateEngine::FilterProbe SdcStateEngine::probe_exhausted(
@@ -268,22 +249,6 @@ SdcStateEngine::FilterProbe SdcStateEngine::probe_exhausted(
   auto it = sh.exhausted.find(block);
   probe.confirmed = it != sh.exhausted.end() && it->second.contains(group);
   return probe;
-}
-
-void SdcStateEngine::set_block_exhaustion(
-    std::uint32_t block, const std::vector<std::uint32_t>& groups) {
-  if (!filter_on_) return;
-  if (block >= budget_.blocks())
-    throw std::out_of_range("SdcStateEngine: exhaustion block out of range");
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t g0 = map_.begin(s), g1 = map_.end(s);
-    std::vector<std::uint32_t> mine;
-    for (std::uint32_t g : groups)
-      if (g >= g0 && g < g1) mine.push_back(g);
-    std::sort(mine.begin(), mine.end());
-    mine.erase(std::unique(mine.begin(), mine.end()), mine.end());
-    replace_block_exhaustion(s, block, mine);
-  }
 }
 
 void SdcStateEngine::update_block_exhaustion(
@@ -445,28 +410,16 @@ std::vector<std::uint8_t> SdcStateEngine::snapshot_payload(std::size_t s) const 
       rows.push_back(budget_[g * blocks + b]);
   put_ciphertexts(enc, rows, ct_width_);
 
-  enc.put_u32(static_cast<std::uint32_t>(sh.columns.size()));
-  for (const auto& [id, col] : sh.columns) {
+  // Per PU: the delta_seq guard (it must survive compaction, resets
+  // included) and the contribution's cells.
+  enc.put_u32(static_cast<std::uint32_t>(sh.pus.size()));
+  for (const auto& [id, pu] : sh.pus) {
     enc.put_u32(id);
-    enc.put_u32(col.block);
-    put_ciphertexts(enc, col.w_column, ct_width_);
-  }
-
-  // §3.9 delta state: per PU the last applied delta_seq (the exactly-once
-  // guard must survive compaction even when a full column cleared the
-  // cells) plus the net accumulated delta ciphertext per cell.
-  enc.put_u32(static_cast<std::uint32_t>(sh.delta_seqs.size()));
-  for (const auto& [id, seq] : sh.delta_seqs) {
-    enc.put_u32(id);
-    enc.put_u64(seq);
-    auto dit = sh.deltas.find(id);
-    const std::size_t ncells = dit == sh.deltas.end() ? 0 : dit->second.size();
-    enc.put_u32(static_cast<std::uint32_t>(ncells));
-    if (dit != sh.deltas.end()) {
-      for (const auto& [key, ct] : dit->second) {
-        enc.put_u64(key);
-        enc.put_raw(ct.value.to_bytes_be(ct_width_));
-      }
+    enc.put_u64(pu.delta_seq);
+    enc.put_u32(static_cast<std::uint32_t>(pu.cells.size()));
+    for (const auto& [key, ct] : pu.cells) {
+      enc.put_u64(key);
+      enc.put_raw(ct.value.to_bytes_be(ct_width_));
     }
   }
 
@@ -513,33 +466,19 @@ void SdcStateEngine::restore_snapshot(std::size_t s,
   for (std::size_t i = 0; i < rows.size(); ++i)
     budget_[(g0 + i / blocks) * blocks + (i % blocks)] = std::move(rows[i]);
 
-  std::uint32_t count = dec.get_u32();
-  sh.columns.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    PuUpdateMsg col;
-    col.pu_id = dec.get_u32();
-    col.block = dec.get_u32();
-    col.w_column = get_ciphertexts(dec);
-    if (col.w_column.size() != n)
-      throw std::runtime_error("SdcStateEngine: snapshot column size mismatch");
-    sh.columns.insert_or_assign(col.pu_id, std::move(col));
-  }
-
-  sh.deltas.clear();
-  sh.delta_seqs.clear();
+  sh.pus.clear();
   std::uint32_t npus = dec.get_u32();
   for (std::uint32_t i = 0; i < npus; ++i) {
-    std::uint32_t pu_id = dec.get_u32();
-    std::uint64_t seq = dec.get_u64();
+    auto& pu = sh.pus[dec.get_u32()];
+    pu.delta_seq = dec.get_u64();
     std::uint32_t ncells = dec.get_u32();
-    sh.delta_seqs[pu_id] = seq;
     for (std::uint32_t j = 0; j < ncells; ++j) {
       std::uint64_t key = dec.get_u64();
       const std::size_t g = key >> 32, b = key & 0xffffffffu;
       if (g < g0 || g >= g0 + n || b >= blocks)
         throw std::runtime_error(
-            "SdcStateEngine: snapshot delta cell out of shard range");
-      sh.deltas[pu_id][key] = {bn::BigUint::from_bytes_be(dec.get_raw(ct_width_))};
+            "SdcStateEngine: snapshot cell out of shard range");
+      pu.cells[key] = {bn::BigUint::from_bytes_be(dec.get_raw(ct_width_))};
     }
   }
 
@@ -564,28 +503,17 @@ void SdcStateEngine::restore_snapshot(std::size_t s,
 
 void SdcStateEngine::replay_record(std::size_t s, const store::WalRecord& rec) {
   const std::size_t g0 = map_.begin(s), n = map_.size(s);
-  if (rec.type == kRecPuColumn) {
-    auto slice = PuUpdateMsg::decode(rec.payload);
-    if (slice.w_column.size() != n || slice.block >= budget_.blocks())
-      throw std::runtime_error("SdcStateEngine: WAL column shape mismatch");
-    auto& sh = shards_[s];
-    auto it = sh.columns.find(slice.pu_id);
-    if (it != sh.columns.end())
-      sub_column_range(budget_, it->second.block, it->second.w_column, pk_, g0,
-                       g0 + n);
-    add_column_range(budget_, slice.block, slice.w_column, pk_, g0, g0 + n);
-    // Mirror the live path: a full column retracts the PU's accumulated
-    // §3.9 delta cells along with its previous column.
-    retract_deltas(s, slice.pu_id);
-    sh.columns.insert_or_assign(slice.pu_id, std::move(slice));
-  } else if (rec.type == kRecDelta) {
-    auto slice = PuDeltaMsg::decode(rec.payload);
+  if (rec.type == kRecPuFold) {
+    if (rec.payload.empty() || rec.payload[0] > 1)
+      throw std::runtime_error("SdcStateEngine: WAL fold flag mismatch");
+    auto slice = PuDeltaMsg::decode(
+        std::vector<std::uint8_t>(rec.payload.begin() + 1, rec.payload.end()));
     for (const auto& cell : slice.cells) {
       if (cell.group < g0 || cell.group >= g0 + n ||
           cell.block >= budget_.blocks())
-        throw std::runtime_error("SdcStateEngine: WAL delta cell mismatch");
+        throw std::runtime_error("SdcStateEngine: WAL fold cell mismatch");
     }
-    apply_delta_slice(s, slice, /*live=*/false);
+    fold(s, slice, rec.payload[0] != 0, /*live=*/false, nullptr);
   } else if (rec.type == kRecExhaust) {
     if (!filter_on_)
       throw std::runtime_error(

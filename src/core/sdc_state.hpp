@@ -1,26 +1,30 @@
 // Sharded SDC state engine with write-ahead durability (DESIGN.md §3.6).
 //
 // Owns everything the SDC must not lose across a crash: the encrypted
-// interference budget Ñ (eq. (10)), the latest W̃ column per PU (needed to
-// retract a stale column on the next update) and the license serial
-// counter. The ⌈C/pack_slots⌉ channel-group rows are partitioned into
-// num_shards contiguous slices (core/shard_map): every PU update folds into
-// all shards, but each shard touches only its own row range, so the fold
-// runs one parallel lane per shard with no locks — and each shard journals
-// to its own WAL and compacts into its own snapshot (store/), so recovery
-// is an embarrassingly parallel per-shard replay.
+// interference budget Ñ (eq. (10)), each PU's stored contribution to it
+// (needed to retract that contribution on the PU's next full column) and the
+// license serial counter. The ⌈C/pack_slots⌉ channel-group rows are
+// partitioned into num_shards contiguous slices (core/shard_map): a PU fold
+// reaches every shard that owns one of its cells, but each shard touches
+// only its own row range, so the fold runs one parallel lane per shard with
+// no locks — and each shard journals to its own WAL and compacts into its
+// own snapshot (store/), so recovery is an embarrassingly parallel
+// per-shard replay.
+//
+// One fold path serves both PU messages: a §3.9 delta adds its cells on top
+// of the PU's contribution, and a full W̃ column is a *reset* fold — retract
+// the PU's whole contribution (previous column plus every delta since),
+// then add the column's ⌈C/k⌉ cells at its block.
 //
 // Contracts the tests pin down:
-//   * num_shards = 1, durability off ⇒ byte-identical to the pre-engine
-//     SdcServer: same kernels, same call order, same ciphertext bytes.
-//   * Any shard count yields the same Ñ bytes as shard count 1 — column
-//     folds are entry-independent and Paillier addition lands on canonical
-//     residues, so slicing changes nothing.
+//   * Any shard count yields the same Ñ bytes as shard count 1 — folds are
+//     entry-independent and Paillier addition lands on canonical residues,
+//     so slicing and fold order change nothing.
 //   * recover() (run by the constructor when durability is on) rebuilds
 //     byte-identical state from snapshot + WAL replay: journaling happens
 //     before the in-memory apply, a record present in the log is by
-//     definition applied, and re-delivery of an already-applied update
-//     retracts and re-adds the identical column — a modular no-op. That is
+//     definition applied, and re-delivery of an already-applied column
+//     retracts and re-adds identical cells — a modular no-op. That is
 //     what turns at-least-once delivery into exactly-once application.
 #pragma once
 
@@ -28,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -50,13 +53,13 @@ namespace pisa::core {
 
 class SdcStateEngine {
  public:
-  /// WAL record types (store/wal payload tags).
-  static constexpr std::uint8_t kRecPuColumn = 1;  ///< one shard's column slice
-  static constexpr std::uint8_t kRecSerial = 2;    ///< serial floor reservation
-  static constexpr std::uint8_t kRecExhaust = 3;   ///< shard-local exhausted set
-                                                   ///< for one block (§3.8)
-  static constexpr std::uint8_t kRecDelta = 4;     ///< shard-local delta cells
-                                                   ///< for one PU (§3.9)
+  /// WAL record types (store/wal payload tags). Tags 1 and 4 are retired:
+  /// replay rejects them as unknown types.
+  static constexpr std::uint8_t kRecSerial = 2;   ///< serial floor reservation
+  static constexpr std::uint8_t kRecExhaust = 3;  ///< shard-local exhausted set
+                                                  ///< for one block (§3.8)
+  static constexpr std::uint8_t kRecPuFold = 5;   ///< u8 reset | one shard's
+                                                  ///< PuDeltaMsg slice
 
   /// Initializes Ñ from the public matrix E (deterministic encryption, tail
   /// slots seeded with 1 — see SdcServer) and, when durability is enabled,
@@ -71,36 +74,39 @@ class SdcStateEngine {
                  watch::QMatrix e_matrix,
                  const std::array<std::uint8_t, 32>& filter_key = {});
 
-  /// Shard lanes (nullptr = sequential). With one shard the inner column
-  /// kernels use the pool exactly like the unsharded server did; with more,
-  /// the pool runs one lane per shard and the inner kernels go sequential.
+  /// Shard lanes (nullptr = sequential). With one shard a full column's
+  /// cell work runs on the pool; with more, the pool runs one lane per
+  /// shard and the fold inside each lane goes sequential.
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
 
   const CipherMatrix& budget() const { return budget_; }
   crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t block);
   const ShardMap& shard_map() const { return map_; }
 
-  /// Fold one PU column: journal the per-shard slices, retract the PU's
-  /// previous column, add the new one. Idempotent under re-delivery.
-  void apply_pu_update(const PuUpdateMsg& update);
+  /// Reset fold of one PU column: journal the per-shard slices, retract
+  /// the PU's whole stored contribution, add the column's cells.
+  /// Idempotent under re-delivery. Returns every block whose cells the fold
+  /// retracted or added: the column's block first, then the rest ascending.
+  std::vector<std::uint32_t> apply_pu_update(const PuUpdateMsg& update);
 
   /// Fold an incremental PU delta (§3.9): each cell multiplies one budget
   /// entry — O(cells) work instead of O(groups × touched blocks). Per-shard
   /// delta sequence numbers turn at-least-once ordered delivery into
   /// exactly-once application: a shard applies a delta iff its
-  /// `delta_seq` exceeds the last one it journaled for that PU, so a
-  /// crash-torn delta (applied by some shards, lost by others) heals on
-  /// re-delivery without double-folding anywhere. Throws on out-of-range
-  /// cell coordinates, duplicate cells, an empty cell list or a zero seq.
+  /// `delta_seq` exceeds the last one it journaled for that PU (a reset
+  /// leaves that guard alone), so a crash-torn delta (applied by some
+  /// shards, lost by others) heals on re-delivery without double-folding
+  /// anywhere. Throws on out-of-range cell coordinates, duplicate cells, an
+  /// empty cell list or a zero seq.
   void apply_pu_delta(const PuDeltaMsg& delta);
 
-  /// Cell key for dirty/delta bookkeeping: (group, block) packed into one
-  /// word, ordered group-major.
+  /// Cell key for contribution/dirty bookkeeping: (group, block) packed
+  /// into one word, ordered group-major.
   static std::uint64_t cell_key(std::uint32_t group, std::uint32_t block) {
     return (static_cast<std::uint64_t>(group) << 32) | block;
   }
 
-  /// Rebuild Ñ from Ẽ and every stored column (the paper's literal
+  /// Rebuild Ñ from Ẽ and every stored PU contribution (the paper's literal
   /// eq. (9)/(10) aggregation). Derivable state — nothing is journaled.
   void recompute();
 
@@ -114,11 +120,8 @@ class SdcStateEngine {
   /// WAL, old log removed. No-op when durability is off.
   void checkpoint();
 
-  std::size_t pu_count() const { return shards_.front().columns.size(); }
-
-  /// The block the engine currently holds a W̃ column for, per PU (every
-  /// shard stores all PU ids; shard 0 is authoritative for the lookup).
-  std::optional<std::uint32_t> pu_block(std::uint32_t pu_id) const;
+  /// PUs with a stored contribution in any shard.
+  std::size_t pu_count() const;
 
   // ── §3.8 denial prefilter ─────────────────────────────────────────────
   //
@@ -137,26 +140,19 @@ class SdcStateEngine {
   };
   FilterProbe probe_exhausted(std::uint32_t group, std::uint32_t block) const;
 
-  /// Replace the recorded exhausted group set for `block` (full-set
-  /// semantics; groups outside a shard's range are ignored by that shard).
+  /// Install re-probe evidence for `block`: only the groups in `probed`
+  /// were re-evaluated, so only their membership may change — groups
+  /// outside `probed` keep their recorded state (their budget cells did not
+  /// move). New set = (current − probed) ∪ (probed ∩ exhausted); an empty
+  /// `exhausted` is the conservative invalidation a fold starts with.
   /// Journals a kRecExhaust diff per shard whose set actually changed, so
-  /// WAL replay rebuilds the filter byte-identically.
-  void set_block_exhaustion(std::uint32_t block,
-                            const std::vector<std::uint32_t>& groups);
-
-  /// Partial-evidence variant for the §3.9 delta path: only the groups in
-  /// `probed` were re-evaluated, so only their membership may change —
-  /// groups outside `probed` keep their recorded state (their budget cells
-  /// did not move). New set = (current − probed) ∪ (probed ∩ exhausted).
-  /// The resulting exact sets match what a full-block re-probe would
-  /// install (exhausted_state_bytes is the cross-path oracle); raw cuckoo
-  /// table bytes may differ — the paths erase/insert in different orders.
+  /// WAL replay rebuilds the filter byte-identically. Exact sets match
+  /// across fold paths (exhausted_state_bytes is the cross-path oracle);
+  /// raw cuckoo table bytes may differ — paths erase/insert in different
+  /// orders.
   void update_block_exhaustion(std::uint32_t block,
                                const std::vector<std::uint32_t>& probed,
                                const std::vector<std::uint32_t>& exhausted);
-
-  /// Conservative invalidation: forget everything recorded about `block`.
-  void invalidate_block(std::uint32_t block) { set_block_exhaustion(block, {}); }
 
   /// Live (group, block) exhausted cells across all shards.
   std::size_t exhausted_entries() const;
@@ -198,8 +194,7 @@ class SdcStateEngine {
   // ── §3.9 dirty-pack tracking ──────────────────────────────────────────
   //
   // Each shard records the (group, block) budget cells touched since its
-  // last compaction — full-column folds mark every cell of the touched
-  // blocks in the shard's rows, delta folds mark only their cells. The set
+  // last compaction — every cell a live fold retracted or added. The set
   // is what makes WAL volume and exhaustion re-probes diff-proportional,
   // and the bench reads it to report delta cells per tick.
 
@@ -212,40 +207,38 @@ class SdcStateEngine {
   std::uint64_t delta_cells_folded() const;
 
  private:
+  /// One PU's stored share of Ñ within one shard: the net ciphertext it
+  /// folded into each of the shard's budget cells (its last column's cells
+  /// plus every delta since), and the last delta_seq this shard applied.
+  struct Contribution {
+    std::map<std::uint64_t, crypto::PaillierCiphertext> cells;  // cell_key
+    std::uint64_t delta_seq = 0;
+  };
   struct Shard {
-    /// Latest W̃ slice per PU, restricted to this shard's group rows.
-    std::map<std::uint32_t, PuUpdateMsg> columns;
+    std::map<std::uint32_t, Contribution> pus;
     std::unique_ptr<store::ShardStore> store;  ///< null when durability is off
     /// §3.8: exact exhausted cells {block → sorted groups} for this shard's
     /// rows, and the keyed cuckoo mirror (null when the filter is off).
     std::map<std::uint32_t, std::set<std::uint32_t>> exhausted;
     std::unique_ptr<crypto::CuckooFilter> filter;
-    /// §3.9: net accumulated delta ciphertext per (PU, cell) on top of the
-    /// PU's stored column — retracted alongside the column when a full
-    /// update or a fresh fold for the same cell arrives.
-    std::map<std::uint32_t, std::map<std::uint64_t, crypto::PaillierCiphertext>>
-        deltas;
-    /// Last delta_seq journaled-and-applied per PU by *this* shard.
-    std::map<std::uint32_t, std::uint64_t> delta_seqs;
     /// Budget cells touched since the last compaction.
     std::set<std::uint64_t> dirty;
     std::uint64_t delta_cells_folded = 0;
   };
 
   exec::ThreadPool* pool() const { return exec_.get(); }
-  /// Slice `update` to shard `s`'s rows, journal it, fold it. `pool` is the
-  /// inner-kernel pool — non-null only in the single-shard fast path.
-  void apply_slice(std::size_t s, const PuUpdateMsg& update,
-                   exec::ThreadPool* inner);
-  /// Fold one shard's delta slice (cells already restricted to its rows,
-  /// non-empty): seq-check, journal, multiply each cell into the budget and
-  /// into the PU's accumulated-delta map, mark dirty. `live` is false during
-  /// WAL replay: the record is already on disk and the dirty/fold counters
-  /// describe live traffic only.
-  void apply_delta_slice(std::size_t s, const PuDeltaMsg& slice, bool live);
-  /// Retract shard `s`'s accumulated delta cells for `pu_id` from the
-  /// budget and clear them (the seq guard survives).
-  void retract_deltas(std::size_t s, std::uint32_t pu_id);
+  /// Slice a validated message across the shard lanes, fold each slice,
+  /// then compact where due. Returns the blocks the folds moved.
+  std::set<std::uint32_t> fold_lanes(const PuDeltaMsg& msg, bool reset);
+  /// Fold one shard's slice (cells restricted to its rows, non-empty):
+  /// seq-check a delta, journal, retract the PU's contribution when
+  /// `reset`, add the cells to the budget and to the contribution, mark
+  /// dirty. `live` is false during WAL replay: the record is already on
+  /// disk and the dirty/fold counters describe live traffic only. `inner`
+  /// runs the cells' Paillier work (non-null only on the single-shard
+  /// path). Returns the blocks whose cells it retracted or added.
+  std::set<std::uint32_t> fold(std::size_t s, const PuDeltaMsg& slice,
+                               bool reset, bool live, exec::ThreadPool* inner);
   /// Journal + apply a shard's new exhausted set for `block` when it
   /// differs from the recorded one. `mine` must be sorted, deduped and
   /// restricted to the shard's rows.

@@ -26,8 +26,9 @@ class PlainSdc {
   /// realized via the comparison-free eq. (9)/(10) form).
   void pu_update(std::uint32_t pu_id, QMatrix w_matrix);
 
-  /// Incremental form: N ← N − W_old + W_new. Algebraically identical to
-  /// pu_update; kept separate for the ablation benchmark.
+  /// Incremental form: N ← N − W_old + W_new, the plaintext shape of the
+  /// encrypted SDC's reset fold. Algebraically identical to pu_update, which
+  /// plain_sdc_test pins round by round.
   void pu_update_incremental(std::uint32_t pu_id, QMatrix w_matrix);
 
   /// Evaluate a request: R = F·X (eq. (6)), I = N − R (eq. (7)), grant iff

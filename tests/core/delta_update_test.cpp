@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -312,7 +313,7 @@ class DeltaDurabilityTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Delta-then-crash: journaled kRecDelta slices replay to the same decrypted
+// Delta-then-crash: journaled delta fold records replay to the same decrypted
 // budget a surviving engine holds, the dirty set resets with compaction, and
 // the recovered per-shard sequence guard still rejects a replayed delivery.
 TEST_F(DeltaDurabilityTest, WalReplayMatchesSurvivor) {
@@ -365,6 +366,78 @@ TEST_F(DeltaDurabilityTest, WalReplayMatchesSurvivor) {
   survivor.apply_pu_delta(d3);
   EXPECT_EQ(decrypt_budget(recovered, w.kp.sk, cfg),
             decrypt_budget(survivor, w.kp.sk, cfg));
+}
+
+// Full column → delta move → full column, with exhaustion evidence recorded
+// in between. The second column is a reset fold that must retract the delta
+// cells at block 1 as well as the first column's cells at block 0. The live
+// engine, recompute(), a pure snapshot restore and a pure WAL replay all
+// hold the same Ñ bytes and exact exhausted sets, at one shard and at three.
+TEST_F(DeltaDurabilityTest, MixedResetAndDeltaReplayIsByteIdentical) {
+  std::optional<CipherMatrix> single_shard;
+  for (std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    auto cfg = delta_config(1, 4, shards);
+    cfg.denial_filter.enabled = true;
+    cfg.durability.enabled = true;
+    cfg.durability.snapshot_every = 1000;  // explicit checkpoints only
+    DeltaWorld w{cfg};
+    const auto u1 = make_update(0, 0, {5, -3, 0, 7}, cfg, w.kp.pk, w.rng);
+    const auto move = make_delta(0, 1,
+                                 {{0, 0, {-5}}, {1, 0, {3}}, {3, 0, {-7}},
+                                  {0, 1, {5}}, {1, 1, {-3}}, {3, 1, {7}}},
+                                 cfg, w.kp.pk, w.rng);
+    const auto u2 = make_update(0, 3, {2, 2, 2, 2}, cfg, w.kp.pk, w.rng);
+    const auto u3 = make_update(0, 2, {1, -1, 1, -1}, cfg, w.kp.pk, w.rng);
+    auto run = [&](SdcStateEngine& engine) {
+      engine.apply_pu_update(u1);
+      engine.update_block_exhaustion(0, {0, 1, 2, 3}, {1});
+      engine.apply_pu_delta(move);
+      engine.update_block_exhaustion(1, {0, 1, 2, 3}, {0, 3});
+      EXPECT_EQ(engine.apply_pu_update(u2),
+                (std::vector<std::uint32_t>{3, 0, 1}))
+          << "the column's block first, then every vacated block ascending";
+    };
+    auto in = [&](const char* name) {
+      auto c = cfg;
+      c.durability.dir = (dir_ / name / std::to_string(shards)).string();
+      return c;
+    };
+
+    CipherMatrix budget;
+    std::vector<std::uint8_t> exhausted;
+    {
+      SdcStateEngine live{in("wal"), w.kp.pk, w.e};
+      run(live);
+      budget = live.budget();
+      exhausted = live.exhausted_state_bytes();
+      live.recompute();
+      EXPECT_EQ(live.budget(), budget) << "recompute must land on the same bytes";
+    }  // crash: the WAL alone holds the run
+    {
+      SdcStateEngine compacted{in("snap"), w.kp.pk, w.e};
+      run(compacted);
+      compacted.checkpoint();
+    }
+    SdcStateEngine replayed{in("wal"), w.kp.pk, w.e};
+    SdcStateEngine restored{in("snap"), w.kp.pk, w.e};
+    EXPECT_FALSE(replayed.recovery_stats().from_snapshot);
+    EXPECT_TRUE(restored.recovery_stats().from_snapshot);
+    EXPECT_EQ(restored.recovery_stats().wal_records_replayed, 0u);
+    for (const auto* engine : {&replayed, &restored}) {
+      EXPECT_EQ(engine->budget(), budget);
+      EXPECT_EQ(engine->exhausted_state_bytes(), exhausted);
+    }
+
+    // The recovered contributions are byte-identical too: one more reset
+    // retracts them, and both engines land on the same bytes.
+    replayed.apply_pu_update(u3);
+    restored.apply_pu_update(u3);
+    EXPECT_EQ(restored.budget(), replayed.budget());
+
+    if (!single_shard) single_shard = budget;
+    EXPECT_EQ(budget, *single_shard) << "sharding changes no Ñ byte";
+  }
 }
 
 }  // namespace

@@ -206,6 +206,37 @@ TEST_F(DenialFilterFixture, PuDepartureUnExhaustsTheBlock) {
   EXPECT_TRUE(denied_again.fast_denied);
 }
 
+TEST_F(DenialFilterFixture, FullColumnAfterDeltaMovesReprobesVacatedBlocks) {
+  // A full column resets the PU's whole contribution, including delta
+  // cells folded at blocks its last column never covered. Every block the
+  // reset moves must be re-probed, or the prefilter keeps an exhaustion
+  // record on a block the PUs have left.
+  system.add_su(100);
+  const watch::PuTuning t{ChannelId{0}, 1e-6};
+  for (std::uint32_t pu : {0u, 1u, 2u}) system.pu_update(pu, t);
+  for (std::uint32_t pu : {0u, 1u, 2u}) {
+    system.pu_move(pu, 1);
+    ASSERT_TRUE(system.pu_delta(pu, t));
+  }
+  for (std::uint32_t pu : {0u, 1u, 2u}) {
+    system.pu_move(pu, 3);
+    system.pu_update(pu, t);
+  }
+
+  // Ground truth at the PUs' final sites.
+  watch::PlainWatch moved{cfg.watch,
+                          {{0, BlockId{3}}, {1, BlockId{3}}, {2, BlockId{3}},
+                           {3, BlockId{2}}},
+                          model};
+  for (std::uint32_t pu : {0u, 1u, 2u}) moved.pu_update(pu, t);
+  auto req = request(100, 1, 1e-4);
+  ASSERT_TRUE(ranged_expected(moved, moved.build_request_matrix(req), 1, 2))
+      << "oracle sanity";
+  auto out = system.su_request(req, std::make_pair(1u, 2u));
+  EXPECT_TRUE(out.granted);
+  EXPECT_FALSE(out.fast_denied) << "stale exhaustion on a vacated block";
+}
+
 TEST_F(DenialFilterFixture, CuckooFalsePositiveFallsBackToFullPipeline) {
   system.add_su(100);
   // Nothing is exhausted; plant block 3's cells in the cuckoo table only —

@@ -233,7 +233,7 @@ TEST_F(ReliableFixture, SurvivesHeavyRandomLoss) {
 
   const int kMessages = 30;
   for (int i = 0; i < kMessages; ++i)
-    rt.send(msg("a", "b", "m" + std::to_string(i), bytes(8)));
+    rt.send(msg("a", "b", std::string("m").append(std::to_string(i)), bytes(8)));
   net.run();
 
   std::set<std::string> unique_types;
@@ -259,7 +259,7 @@ TEST_F(ReliableFixture, CorruptFramesAreNackedAndRecovered) {
 
   const int kMessages = 20;
   for (int i = 0; i < kMessages; ++i)
-    rt.send(msg("a", "b", "m" + std::to_string(i), bytes(40)));
+    rt.send(msg("a", "b", std::string("m").append(std::to_string(i)), bytes(40)));
   net.run();
 
   EXPECT_EQ(b_seen.size(), static_cast<std::size_t>(kMessages));
@@ -322,7 +322,7 @@ TEST(ReliableTransportDeterminism, ChaosRunIsBitReproducible) {
     plan.reorder = 0.2;
     net.set_default_fault_plan(plan);
     for (int i = 0; i < 40; ++i)
-      rt.send(msg("a", "b", "m" + std::to_string(i),
+      rt.send(msg("a", "b", std::string("m").append(std::to_string(i)),
                   bytes(static_cast<std::size_t>(8 + i))));
     net.run();
     return std::tuple{delivered, rt.stats(), net.fault_stats(),
