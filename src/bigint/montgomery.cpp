@@ -258,28 +258,38 @@ void load_one(const D& d, u64* out) {
   out[0] = 1;
 }
 
-// acc = base_m^exp (native Montgomery form), sliding odd-powers window.
-// Requires bits >= 1 with bit (bits-1) set. `table` holds up to 16 rows.
+// Odd-powers table of the sliding-window ladder: table[j] = base^(2j+1),
+// with base^2 staged in acc (dead until the ladder starts). Returns the
+// multiplications it ran.
 template <class D>
-void pow_ladder(const D& d, const u64* base_m, std::span<const u64> e,
-                std::size_t bits, u64* table, u64* acc) {
+std::size_t ladder_table(const D& d, const u64* base_m, unsigned w, u64* table,
+                         u64* acc) {
   const std::size_t W = d.width();
-  const unsigned w = window_for_bits(bits);
   const std::size_t rows = std::size_t{1} << (w - 1);
-
-  // table[j] = base^(2j+1); base^2 is staged in acc (dead until the ladder).
   std::copy(base_m, base_m + W, table);
-  if (rows > 1) {
-    d.sqr(base_m, acc);
-    for (std::size_t j = 1; j < rows; ++j)
-      d.mul(table + (j - 1) * W, acc, table + j * W);
-  }
+  if (rows == 1) return 0;
+  d.sqr(base_m, acc);
+  for (std::size_t j = 1; j < rows; ++j)
+    d.mul(table + (j - 1) * W, acc, table + j * W);
+  return rows;
+}
 
-  bool started = false;
-  std::size_t i = bits;
+// Run the ladder from exponent bit `i` (bits still to consume) downwards,
+// whole windows at a time, while the running multiplication count `ran`
+// stays within `budget`; with ran == 0 the first window always runs.
+// Returns the updated count; `i` and `started` carry the cursor to the next
+// call.
+template <class D>
+std::size_t ladder_advance(const D& d, std::span<const u64> e, unsigned w,
+                           const u64* table, u64* acc, std::size_t& i,
+                           bool& started, std::size_t ran, std::size_t budget) {
+  const std::size_t W = d.width();
   while (i > 0) {
     if (!bit_at(e, i - 1)) {
+      const std::size_t cost = started ? 1 : 0;
+      if (ran > 0 && ran + cost > budget) break;
       if (started) d.sqr(acc, acc);
+      ran += cost;
       --i;
       continue;
     }
@@ -288,6 +298,8 @@ void pow_ladder(const D& d, const u64* base_m, std::span<const u64> e,
     const unsigned tz = static_cast<unsigned>(std::countr_zero(digit));
     digit >>= tz;  // odd; the stripped zeros re-enter the loop as squarings
     l -= tz;
+    const std::size_t cost = started ? l + 1 : 0;
+    if (ran > 0 && ran + cost > budget) break;
     const u64* row = table + (digit >> 1) * W;
     if (started) {
       for (std::size_t s = 0; s < l; ++s) d.sqr(acc, acc);
@@ -296,8 +308,22 @@ void pow_ladder(const D& d, const u64* base_m, std::span<const u64> e,
       std::copy(row, row + W, acc);
       started = true;
     }
+    ran += cost;
     i -= l;
   }
+  return ran;
+}
+
+// acc = base_m^exp (native Montgomery form), sliding odd-powers window.
+// Requires bits >= 1 with bit (bits-1) set. `table` holds up to 16 rows.
+template <class D>
+void pow_ladder(const D& d, const u64* base_m, std::span<const u64> e,
+                std::size_t bits, u64* table, u64* acc) {
+  const unsigned w = window_for_bits(bits);
+  ladder_table(d, base_m, w, table, acc);
+  bool started = false;
+  std::size_t i = bits;
+  ladder_advance(d, e, w, table, acc, i, started, 0, SIZE_MAX);
   assert(started);
 }
 
@@ -842,6 +868,78 @@ BigUint FixedBaseTable::pow(const BigUint& exp, MontgomeryWorkspace& ws) const {
     eval(d);
   }
   return m.from_raw({out, m.k_});
+}
+
+// ---- ResumablePow -----------------------------------------------------
+
+ResumablePow::ResumablePow(const Montgomery& mont, const BigUint& base,
+                           BigUint exp)
+    : mont_(&mont), exp_(std::move(exp)), bits_(exp_.bit_length()),
+      next_bit_(bits_) {
+  mont.check_operand(base, "pow base");
+  const std::size_t W = mont.ifma_ ? mont.ifma_->k52 : mont.k_;
+  // base (native form, loaded on the first step) | acc | 16 table rows.
+  state_.assign(18 * W, 0);
+  std::copy(base.limbs().begin(), base.limbs().end(), state_.begin());
+  if (bits_ == 0) {
+    out_.assign(mont.k_, 0);
+    out_[0] = 1;  // x^0 = 1, canonical for n >= 3
+    done_ = true;
+  }
+}
+
+bool ResumablePow::step(std::size_t budget) {
+  return step(budget, Montgomery::tls_workspace());
+}
+
+bool ResumablePow::step(std::size_t budget, MontgomeryWorkspace& ws) {
+  if (done_) return true;
+  const Montgomery& m = *mont_;
+  auto run = [&](const auto& d) {
+    const std::size_t W = d.width();
+    u64* bm = state_.data();
+    u64* acc = bm + W;
+    u64* table = bm + 2 * W;
+    const unsigned w = window_for_bits(bits_);
+    std::size_t ran = 0;
+    if (!table_built_) {
+      // The raw base sits in bm's first k limbs: stage it, then load the
+      // native form over it.
+      u64* stage = ws.slot(MontgomeryWorkspace::kTable2, m.k_);
+      std::copy(bm, bm + m.k_, stage);
+      d.load({stage, m.k_}, bm);
+      d.mul(bm, d.r2(), bm);
+      ran = 1 + ladder_table(d, bm, w, table, acc);
+      table_built_ = true;
+    }
+    ran = ladder_advance(d, exp_.limbs(), w, table, acc, next_bit_, started_,
+                         ran, budget);
+    if (next_bit_ == 0 && (ran == 0 || ran < budget)) {
+      u64* op = ws.slot(MontgomeryWorkspace::kRegs, W);
+      out_.assign(m.k_, 0);
+      exit_store(d, acc, false, {}, op, out_.data());
+      ++ran;
+      done_ = true;
+    }
+    mults_ += ran;
+  };
+  if (m.ifma_) {
+    const std::size_t W = m.ifma_->k52;
+    IfmaDomain d{m.ifma_.get(), ws.slot(MontgomeryWorkspace::kScratch, W + 8),
+                 m.k_};
+    run(d);
+  } else {
+    ScalarDomain d{m.k_, m.n_limbs_.data(), m.n0inv_, m.one_mont_.data(),
+                   m.r2_.data(),
+                   ws.slot(MontgomeryWorkspace::kScratch, 2 * m.k_ + 2)};
+    run(d);
+  }
+  return done_;
+}
+
+BigUint ResumablePow::result() const {
+  if (!done_) throw std::logic_error("ResumablePow: result() before done()");
+  return mont_->from_raw(out_);
 }
 
 }  // namespace pisa::bn

@@ -28,6 +28,7 @@ namespace pisa::bn {
 
 class FixedBaseTable;
 class Montgomery;
+class ResumablePow;
 
 namespace ifma {
 struct Ctx;  // radix-52 AVX-512 IFMA engine context (montgomery_ifma.cpp)
@@ -64,6 +65,7 @@ class MontgomeryWorkspace {
  private:
   friend class Montgomery;
   friend class FixedBaseTable;
+  friend class ResumablePow;
 
   // Named slots so nested kernels (pow calls mul calls...) never alias.
   enum Slot : std::size_t {
@@ -182,6 +184,7 @@ class Montgomery {
 
  private:
   friend class FixedBaseTable;
+  friend class ResumablePow;
 
   BigUint pow2_impl(const BigUint& a, const BigUint& x, const BigUint& b,
                     const BigUint& y, const BigUint* mult,
@@ -242,6 +245,49 @@ class FixedBaseTable {
   // table_[i * digits_ + (j - 1)] = native mont form of base^(j * 2^(w*i)),
   // flattened into one contiguous buffer of row_limbs_-limb rows.
   AlignedLimbs table_;
+};
+
+/// base^exp mod n computed in bounded slices: the same sliding-window
+/// ladder as Montgomery::pow (bit-identical result), paused between whole
+/// windows and resumed on the next step(). Lets an otherwise idle thread
+/// precompute a modexp without ever holding the CPU for more than a few
+/// dozen multiplications at a time. The task owns its ladder state (table,
+/// accumulator); scratch comes from the workspace of the thread that calls
+/// step(), so successive steps may run on different threads.
+class ResumablePow {
+ public:
+  /// `mont` must outlive the task. Throws std::out_of_range for
+  /// base >= modulus.
+  ResumablePow(const Montgomery& mont, const BigUint& base, BigUint exp);
+
+  /// Run whole ladder windows while at most `budget` Montgomery
+  /// multiplications (squarings included) execute. A call always makes
+  /// progress: when the next unit of work alone exceeds the budget it runs
+  /// anyway, so a call costs at most max(budget, 17) multiplications (the
+  /// first call's odd-powers table is 17, a window at most 6). Returns
+  /// done().
+  bool step(std::size_t budget);
+  bool step(std::size_t budget, MontgomeryWorkspace& ws);
+
+  bool done() const { return done_; }
+
+  /// Montgomery multiplications executed so far (observability / tests).
+  std::size_t mults() const { return mults_; }
+
+  /// base^exp mod n. Throws std::logic_error before done().
+  BigUint result() const;
+
+ private:
+  const Montgomery* mont_;
+  BigUint exp_;
+  std::size_t bits_;       // bit length of exp_
+  std::size_t next_bit_;   // exponent bits still to consume (ladder cursor)
+  bool started_ = false;   // acc holds a value
+  bool table_built_ = false;
+  bool done_ = false;
+  std::size_t mults_ = 0;
+  AlignedLimbs state_;     // native base | accumulator | odd-powers table
+  std::vector<std::uint64_t> out_;  // canonical result once done
 };
 
 }  // namespace pisa::bn

@@ -104,9 +104,15 @@ struct PisaConfig {
   /// bit-identical at every setting — the knob trades wall-clock only.
   std::size_t num_threads = 1;
 
-  /// Use the fixed-base r^n table (crypto::FastRandomizerBase) for
-  /// randomizer-pool refills. Off by default: the short-exponent sampling
-  /// it implies is a security trade-off (see paillier.hpp).
+  /// Short-exponent randomizers (crypto::FastRandomizerBase): every r^n
+  /// factor of a provisioned pool becomes a fixed-base table power of a
+  /// 256-bit exponent, precomputed or inline. Provisioned pools are the SU
+  /// and PU clients' (precompute_randomizers) and the STP's per-SU reserves
+  /// once precompute_su_randomizers or stp_pool_target fills them; each
+  /// such STP reserve builds its table (~480 KiB at 2048-bit keys) on that
+  /// first fill. Reserves filled only in idle time, and every SDC S̃G
+  /// factor, stay full width. Off by default: the short-exponent sampling
+  /// is a security trade-off (see paillier.hpp).
   bool fast_randomizers = false;
 
   /// Threshold-STP mode (the paper's §VII future-work direction): the group
@@ -162,11 +168,13 @@ struct PisaConfig {
   /// budget (or a 1 s default on the perfect bus).
   double convert_batch_watchdog_us = 0.0;
 
-  /// Always-warm STP randomizer pools: keep this many precomputed r^n
-  /// factors per registered SU, refilled in the background (per-SU ChaCha
-  /// sub-stream + the shared thread pool) so the conversion hot path pays
-  /// one modular multiplication per entry without any manual
-  /// precompute_su_randomizers call. 0 = manual pools only (paper path).
+  /// Always-warm STP randomizer pools: fill each SU's reserve to this many
+  /// r^n factors at key registration and keep it there (maintain_pools()
+  /// after each simulated drain; idle slices on a TCP server), so the
+  /// conversion hot path pays one modular multiplication per entry without
+  /// any manual precompute_su_randomizers call. 0 = no registration fill.
+  /// Independently of this option, a TCP server fills the reserves of SUs
+  /// that come back in its dispatch lane's idle time (DESIGN.md §3.5).
   std::size_t stp_pool_target = 0;
 
   /// Slot packing (crypto::SlotCodec, DESIGN.md §3.4): fold this many

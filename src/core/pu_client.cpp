@@ -183,16 +183,16 @@ crypto::PaillierCiphertext PuClient::encrypt_delta(const bn::BigInt& diff) {
     it = det_cache_.emplace(m, group_pk_.encrypt_deterministic(m)).first;
   }
   bn::BigUint rn = (rpool_ && rpool_->available())
-                       ? rpool_->pop()
+                       ? rpool_->take()
                        : group_pk_.make_randomizer(stream_);
   return group_pk_.rerandomize_with(it->second, rn);
 }
 
 void PuClient::precompute_randomizers(std::size_t count) {
-  if (cfg_.fast_randomizers && !fast_base_)
-    fast_base_.emplace(group_pk_, stream_);
-  rpool_.emplace(group_pk_, count);
-  rpool_->refill(stream_, exec_.get(), fast_base_ ? &*fast_base_ : nullptr);
+  if (!rpool_)
+    rpool_.emplace(group_pk_, crypto::SubStreams{stream_}.stream(0),
+                   cfg_.fast_randomizers);
+  rpool_->fill(count, exec_.get());
 }
 
 std::size_t PuClient::update_bytes() const {

@@ -29,6 +29,7 @@
 #include "core/messages.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_pool.hpp"
 #include "pir/pir_messages.hpp"
 #include "watch/config.hpp"
 #include "watch/matrices.hpp"
@@ -96,9 +97,11 @@ class PuClient {
   /// C = 100). Pure arithmetic — consumes no randomness.
   std::size_t update_bytes() const;
 
-  /// Offline phase for the delta path: precompute `count` r^n randomizer
-  /// factors so each later delta cell costs one modular multiplication
-  /// (paper §VI-A's pooled-preparation argument applied to the PU side).
+  /// Offline phase for the delta path: top the r^n randomizer pool up to
+  /// `count` factors so each later delta cell costs one modular
+  /// multiplication (paper §VI-A's pooled-preparation argument applied to
+  /// the PU side). The pool's stream is seeded from stream_ on the first
+  /// call.
   void precompute_randomizers(std::size_t count);
   std::size_t randomizers_available() const {
     return rpool_ ? rpool_->available() : 0;
@@ -137,7 +140,6 @@ class PuClient {
   /// SDC currently holds it for this PU.
   std::map<std::uint64_t, bn::BigInt> footprint_;
   std::map<bn::BigUint, crypto::PaillierCiphertext> det_cache_;
-  std::optional<crypto::FastRandomizerBase> fast_base_;
   std::optional<crypto::RandomizerPool> rpool_;
   /// Private encryption stream, seeded once from the construction rng
   /// (same isolation argument as SdcServer::stream_). Declared last.

@@ -90,7 +90,7 @@ SdcServer::SdcServer(const PisaConfig& cfg, crypto::PaillierPublicKey group_pk,
       // and, with durability on, recovers the previous run's state here.
       state_(cfg_, group_pk_, e_matrix_, filter_key_),
       seen_frames_(cfg.reliability.dedup_window),
-      stream_(rng.next_u64()) {
+      stream_(rng.next_u64()), reserves_(stream_, /*fast=*/false) {
   if (cfg_.query_mode == QueryMode::kPir) {
     // Replica 0 lives in this process and shares the SDC's store directory
     // (its own subdirectory), so crash-recovering the SDC also recovers a
@@ -113,7 +113,22 @@ void SdcServer::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
 }
 
 void SdcServer::register_su_key(std::uint32_t su_id, crypto::PaillierPublicKey pk) {
-  su_keys_.insert_or_assign(su_id, std::move(pk));
+  const auto& pk_j =
+      su_keys_.insert_or_assign(su_id, std::move(pk)).first->second;
+  auto it = awaiting_factor_.find(su_id);
+  if (it == awaiting_factor_.end()) return;
+  for (std::uint64_t rid : it->second) {
+    auto pend = pending_.find(rid);
+    if (pend != pending_.end())
+      pend->second.sg_factor = next_sg_factor(su_id, pk_j);
+  }
+  awaiting_factor_.erase(it);
+}
+
+bn::BigUint SdcServer::next_sg_factor(std::uint32_t su_id,
+                                      const crypto::PaillierPublicKey& pk) {
+  auto taken = reserves_.take(su_id, pk, 1);
+  return taken.pool->finish(std::move(taken.draws.front()));
 }
 
 void SdcServer::set_threshold_share(crypto::ThresholdKeyShare share) {
@@ -379,8 +394,14 @@ ConvertRequestMsg SdcServer::begin_request(const SuRequestMsg& request) {
   // finish_request's draws come from a per-request stream seeded here: when
   // a conversion returns relative to later requests' arrivals is transport
   // timing, so drawing η from stream_ there would make response bytes
-  // depend on message interleaving.
+  // depend on message interleaving. S̃G's factor is the SU's next reserve
+  // factor in request order, whether precomputed or not.
   pend.finish_seed = stream_.next_u64();
+  if (auto key = su_keys_.find(request.su_id); key != su_keys_.end()) {
+    pend.sg_factor = next_sg_factor(request.su_id, key->second);
+  } else {
+    awaiting_factor_[request.su_id].push_back(request.request_id);
+  }
 
   // Heavy modexp section: every packed entry is independent, writes only
   // its own slot of conv.v / conv.partials.
@@ -454,8 +475,10 @@ SuResponseMsg SdcServer::finish_request(const ConvertResponseMsg& response) {
   crypto::ChaChaRng finish_rng{pend.finish_seed};
   bn::BigUint eta = bn::random_bits(finish_rng, cfg_.blind_bits);
   eta.set_bit(cfg_.blind_bits - 1);
-  auto g = crypto::PaillierCiphertext{pk_j.mont_n2().pow_mul(
-      acc.value, eta, pk_j.encrypt(pend.signature, finish_rng).value)};
+  auto sg = pk_j.rerandomize_with(pk_j.encrypt_deterministic(pend.signature),
+                                  pend.sg_factor.value());
+  auto g = crypto::PaillierCiphertext{
+      pk_j.mont_n2().pow_mul(acc.value, eta, sg.value)};
 
   SuResponseMsg resp;
   resp.request_id = response.request_id;
@@ -615,7 +638,8 @@ void SdcServer::attach(net::Transport& net, const std::string& name,
         inflight_batch_.reset();
       // Items complete in batch order — the same order their per-request
       // ConvertResponseMsgs would have arrived in. Response bytes do not
-      // depend on it: each request's η comes from its own finish_seed.
+      // depend on it: each request's η seed and S̃G factor were fixed in
+      // request order.
       for (auto& item : batch.items) {
         ConvertResponseMsg response;
         response.request_id = item.request_id;

@@ -29,6 +29,7 @@
 #include "core/messages.hpp"
 #include "core/sdc_state.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_pool.hpp"
 #include "crypto/rsa_signature.hpp"
 #include "crypto/threshold_paillier.hpp"
 #include "net/bus.hpp"
@@ -171,6 +172,10 @@ class SdcServer {
   /// concurrently (same thread, or a quiesced and joined transport).
   const Stats& stats() const { return stats_; }
 
+  /// Per-SU reserves of eq. (17) S̃G randomizers (DESIGN.md §3.5), topped
+  /// up by ServerStack::idle_step under the RandomizerReserves policy.
+  crypto::RandomizerReserves& reserves() { return reserves_; }
+
   /// PU updates + deltas folded so far; safe to poll from any thread. Each
   /// fold queues its re-probe round before the count moves, so a caller
   /// that sees its count and then quiesces the lane has seen those run.
@@ -183,9 +188,15 @@ class SdcServer {
     LicenseBody license;
     bn::BigUint signature;  // SG, plaintext — never leaves the SDC unblinded
     std::string reply_to;   // network sender, empty for direct calls
-    std::uint64_t finish_seed = 0;  // eq. (17) draws: η and S̃G's randomizer
+    std::uint64_t finish_seed = 0;  // eq. (17)'s η draw
+    /// S̃G's r^n factor, from the SU's reserve in request order (set at
+    /// begin_request, or when a late SU key arrives).
+    std::optional<bn::BigUint> sg_factor;
   };
 
+  /// S̃G's r^n factor for SU `su_id`'s next request (its reserve's next).
+  bn::BigUint next_sg_factor(std::uint32_t su_id,
+                             const crypto::PaillierPublicKey& pk);
   crypto::PaillierCiphertext& budget_at(std::uint32_t group, std::uint32_t b);
   const crypto::PaillierPublicKey& su_key(std::uint32_t su_id) const;
 
@@ -246,6 +257,8 @@ class SdcServer {
   std::map<std::uint64_t, PendingRequest> pending_;
   // Network mode: conversions that arrived before the SU's key did.
   std::map<std::uint32_t, std::vector<ConvertResponseMsg>> awaiting_key_;
+  // Begun requests whose S̃G factor waits for the SU's key, in begin order.
+  std::map<std::uint32_t, std::vector<std::uint64_t>> awaiting_factor_;
   std::set<std::uint32_t> lookups_in_flight_;
   // At-least-once delivery defence: transport-level retransmissions that
   // slip past ReliableTransport's dedup window must not re-run handlers.
@@ -284,8 +297,12 @@ class SdcServer {
   /// randomness off the shared simulation rng makes every output byte a
   /// function of this entity's own draw order alone — so batching, batch
   /// composition and message interleaving cannot change results
-  /// (DESIGN.md §3.5). Declared last: its seed draw follows the RSA keygen.
+  /// (DESIGN.md §3.5). Declared after the identity: its seed draw follows
+  /// the RSA keygen.
   crypto::ChaChaRng stream_;
+  /// S̃G factor streams, under a secret stream_ draws once at construction:
+  /// a restarted SDC (fresh stream_ seed) never reuses a factor.
+  crypto::RandomizerReserves reserves_;
 };
 
 }  // namespace pisa::core

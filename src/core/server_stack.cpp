@@ -1,5 +1,6 @@
 #include "core/server_stack.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "exec/thread_pool.hpp"
@@ -48,14 +49,36 @@ void ServerStack::crash_sdc() {
   net_->remove_endpoint("sdc");
   if (cfg_.query_mode == QueryMode::kPir)
     net_->remove_endpoint(pir::replica_name(0));
+  std::lock_guard<std::mutex> lk(idle_mu_);
   sdc_.reset();
 }
 
 SdcServer& ServerStack::restart_sdc() {
   if (sdc_) return *sdc_;
-  sdc_ = make_sdc();
+  auto sdc = make_sdc();
+  {
+    std::lock_guard<std::mutex> lk(idle_mu_);
+    sdc_ = std::move(sdc);
+  }
   sdc_->attach(*net_, "sdc", "stp");
   return *sdc_;
+}
+
+bool ServerStack::idle_step() {
+  std::lock_guard<std::mutex> lk(idle_mu_);
+  auto stp_need = stp_->reserves().neediest();
+  auto sdc_need = sdc_ ? sdc_->reserves().neediest() : std::nullopt;
+  if (!stp_need && !sdc_need) return false;
+  auto& reserves = sdc_need && (!stp_need || *sdc_need < *stp_need)
+                       ? sdc_->reserves()
+                       : stp_->reserves();
+  return reserves.step(kIdleSliceMults);
+}
+
+std::size_t ServerStack::reserved_factors() {
+  std::lock_guard<std::mutex> lk(idle_mu_);
+  return stp_->reserves().available() +
+         (sdc_ ? sdc_->reserves().available() : 0);
 }
 
 void ServerStack::crash_pir_replica(std::size_t index) {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "bigint/random_source.hpp"
@@ -65,6 +66,23 @@ class ServerStack {
   /// not in PIR mode.
   pir::PirServer* pir_replica(std::size_t index);
 
+  /// One bounded slice of idle-time precomputation (DESIGN.md §3.7): top
+  /// up the emptiest randomizer reserve, the STP's or the SDC's, by at most
+  /// kIdleSliceMults Montgomery multiplications. Returns false when no
+  /// slice is due (crypto::RandomizerReserves decides which SUs get an
+  /// idle depth). Call it on the thread that runs the entities' handlers,
+  /// between messages; crash_sdc and restart_sdc wait for a running slice.
+  bool idle_step();
+
+  /// About 0.15 ms of a 4096-bit (n² of 2048-bit Paillier) multiplication
+  /// chain on an AVX-512 IFMA core: short enough that a frame arriving
+  /// mid-slice barely waits.
+  static constexpr std::size_t kIdleSliceMults = 96;
+
+  /// Factors queued across every reserve. Read it with the handler lane
+  /// quiesced.
+  std::size_t reserved_factors();
+
  private:
   std::unique_ptr<SdcServer> make_sdc();
 
@@ -73,6 +91,9 @@ class ServerStack {
   net::Transport* net_ = nullptr;  // set by attach()
   std::shared_ptr<exec::ThreadPool> exec_;
   std::unique_ptr<StpServer> stp_;
+  /// Guards sdc_ against idle_step: a caller off the handler lane may
+  /// crash or restart the SDC while a slice runs.
+  std::mutex idle_mu_;
   std::unique_ptr<SdcServer> sdc_;
   /// §3.10 standalone replicas 1..ℓ−1 (null slot = crashed).
   std::vector<std::unique_ptr<pir::PirServer>> pir_extras_;

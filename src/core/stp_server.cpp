@@ -2,17 +2,28 @@
 
 #include <stdexcept>
 
-#include "bigint/prime.hpp"
 #include "crypto/key_codec.hpp"
 #include "crypto/packing.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace pisa::core {
 
+namespace {
+
+/// One construction-rng draw seeds the reserves' secret — the same single
+/// draw the STP has always taken after keygen.
+crypto::RandomizerReserves make_reserves(bn::RandomSource& rng, bool fast) {
+  crypto::ChaChaRng seed{rng.next_u64()};
+  return crypto::RandomizerReserves{seed, fast};
+}
+
+}  // namespace
+
 StpServer::StpServer(const PisaConfig& cfg, bn::RandomSource& rng)
     : cfg_(cfg), rng_(rng),
       group_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
-      seen_frames_(cfg.reliability.dedup_window), stream_(rng.next_u64()) {
+      seen_frames_(cfg.reliability.dedup_window),
+      reserves_(make_reserves(rng, cfg.fast_randomizers)) {
   cfg_.validate();
   if (cfg_.threshold_stp) deal_ = crypto::threshold_split(group_.sk, rng_);
 }
@@ -23,40 +34,21 @@ const crypto::ThresholdKeyShare& StpServer::sdc_share() const {
 }
 
 void StpServer::register_su_key(std::uint32_t su_id, crypto::PaillierPublicKey pk) {
-  su_keys_.insert_or_assign(su_id, std::move(pk));
-  if (cfg_.stp_pool_target == 0) return;
-  // Always-warm mode: provision the fast base (optional), a private refill
-  // stream and a full pool right at registration, so the first conversion
-  // already hits precomputed factors. Re-registration (last-writer-wins)
-  // rebuilds everything — old factors belong to the old modulus.
-  const auto& pk_j = su_keys_.at(su_id);
-  if (cfg_.fast_randomizers)
-    su_fast_bases_.insert_or_assign(su_id,
-                                    crypto::FastRandomizerBase{pk_j, stream_});
-  su_streams_.erase(su_id);
-  auto stream_it =
-      su_streams_.try_emplace(su_id, crypto::ChaChaRng{stream_.next_u64()}).first;
-  auto fast_it = su_fast_bases_.find(su_id);
-  crypto::RandomizerPool pool{pk_j, cfg_.stp_pool_target};
-  pool.refill(stream_it->second, exec_.get(),
-              fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr);
-  su_pools_.insert_or_assign(su_id, std::move(pool));
+  const auto& pk_j =
+      su_keys_.insert_or_assign(su_id, std::move(pk)).first->second;
+  // Always-warm mode: a full reserve from registration on, so the first
+  // conversion already hits precomputed factors. A new key (last writer
+  // wins) starts a fresh reserve: old factors belong to the old modulus.
+  if (cfg_.stp_pool_target > 0)
+    reserves_.provision(su_id, pk_j, cfg_.stp_pool_target, exec_.get());
 }
 
 void StpServer::maintain_pools() {
-  for (auto& [su_id, stream] : su_streams_) {
-    auto pool_it = su_pools_.find(su_id);
-    if (pool_it == su_pools_.end()) continue;
-    auto fast_it = su_fast_bases_.find(su_id);
-    pool_it->second.refill(
-        stream, exec_.get(),
-        fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr);
-  }
+  if (cfg_.stp_pool_target > 0) reserves_.refill_floors(exec_.get());
 }
 
 std::size_t StpServer::pool_available(std::uint32_t su_id) const {
-  auto it = su_pools_.find(su_id);
-  return it == su_pools_.end() ? 0 : it->second.available();
+  return reserves_.available(su_id);
 }
 
 const crypto::PaillierPublicKey& StpServer::su_key(std::uint32_t su_id) const {
@@ -71,29 +63,15 @@ void StpServer::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
 }
 
 void StpServer::precompute_su_randomizers(std::uint32_t su_id, std::size_t count) {
-  const auto& pk_j = su_key(su_id);
-  const crypto::FastRandomizerBase* fast = nullptr;
-  if (cfg_.fast_randomizers) {
-    auto it = su_fast_bases_.find(su_id);
-    if (it == su_fast_bases_.end())
-      it = su_fast_bases_.emplace(su_id, crypto::FastRandomizerBase{pk_j, stream_})
-               .first;
-    fast = &it->second;
-  }
-  crypto::RandomizerPool pool{pk_j, count};
-  pool.refill(stream_, exec_.get(), fast);
-  su_pools_.insert_or_assign(su_id, std::move(pool));
+  reserves_.provision(su_id, su_key(su_id), count, exec_.get());
 }
 
 struct StpServer::ConvertEntry {
-  enum class Mode { kPooled, kFastExp, kFreshR };
-
   const crypto::PaillierCiphertext* v = nullptr;
   const crypto::PaillierCiphertext* partial = nullptr;  // threshold mode only
   const crypto::PaillierPublicKey* pk = nullptr;
-  const crypto::FastRandomizerBase* fast = nullptr;  // set iff kFastExp
-  bn::BigUint rand;  // ready factor / short exponent / fresh r, by mode
-  Mode mode = Mode::kFreshR;
+  const crypto::RandomizerPool* pool = nullptr;
+  crypto::RandomizerPool::Draw draw;
   crypto::PaillierCiphertext* out = nullptr;
 };
 
@@ -101,32 +79,15 @@ void StpServer::stage_randomness(std::uint32_t su_id, std::size_t count,
                                  std::vector<ConvertEntry>& entries,
                                  std::size_t base) {
   const auto& pk_j = su_key(su_id);
-  auto pool_it = su_pools_.find(su_id);
-  crypto::RandomizerPool* pool =
-      pool_it != su_pools_.end() ? &pool_it->second : nullptr;
-  auto fast_it = su_fast_bases_.find(su_id);
-  const crypto::FastRandomizerBase* fast =
-      fast_it != su_fast_bases_.end() ? &fast_it->second : nullptr;
-  // Drain the pool for as many entries as it covers; the remainder falls
-  // back to the cached fast base (one short-exponent table power each) or,
-  // without one, a fresh r plus a full modexp in the parallel section.
-  // Drawing everything here, in entry order, keeps the private stream_ —
-  // and therefore every output byte — independent of thread count and of
-  // how entries were grouped into batches.
+  // Drawing here, in entry order, keeps every output byte independent of
+  // thread count and of how entries were grouped into batches; draws the
+  // reserve has not precomputed are raised in the parallel section.
+  auto taken = reserves_.take(su_id, pk_j, count);
   for (std::size_t i = 0; i < count; ++i) {
     auto& e = entries[base + i];
     e.pk = &pk_j;
-    if (pool != nullptr && pool->available() > 0) {
-      e.mode = ConvertEntry::Mode::kPooled;
-      e.rand = pool->pop();
-    } else if (fast != nullptr) {
-      e.mode = ConvertEntry::Mode::kFastExp;
-      e.fast = fast;
-      e.rand = bn::random_bits(stream_, crypto::FastRandomizerBase::kExponentBits);
-    } else {
-      e.mode = ConvertEntry::Mode::kFreshR;
-      e.rand = bn::random_coprime(stream_, pk_j.n());
-    }
+    e.pool = taken.pool;
+    e.draw = std::move(taken.draws[i]);
   }
 }
 
@@ -149,18 +110,7 @@ void StpServer::convert_entries(std::vector<ConvertEntry>& entries) {
     auto slots = codec.unpack(v);
     for (auto& s : slots) s = (s.sign() > 0) ? bn::BigInt{1} : bn::BigInt{-1};
     bn::BigInt x = codec.pack(slots);
-    bn::BigUint factor;
-    switch (e.mode) {
-      case ConvertEntry::Mode::kPooled:
-        factor = std::move(e.rand);
-        break;
-      case ConvertEntry::Mode::kFastExp:
-        factor = e.fast->from_exponent(e.rand);
-        break;
-      case ConvertEntry::Mode::kFreshR:
-        factor = e.pk->mont_n2().pow(e.rand, e.pk->n());
-        break;
-    }
+    bn::BigUint factor = e.pool->finish(std::move(e.draw));
     *e.out = e.pk->rerandomize_with(
         e.pk->encrypt_deterministic(x.mod_euclid(e.pk->n())), factor);
   });

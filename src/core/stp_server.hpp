@@ -18,8 +18,8 @@
 #include "bigint/random_source.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "crypto/chacha_rng.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_pool.hpp"
 #include "crypto/threshold_paillier.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
@@ -58,23 +58,26 @@ class StpServer {
   /// values stay ε-masked, so the STP learns no budget signs itself.
   BudgetProbeResponseMsg probe_signs(const BudgetProbeMsg& probe);
 
-  /// Offline optimization: precompute `count` r^n factors for SU `su_id`'s
-  /// key so the conversion re-encryption costs one modular multiplication
-  /// per entry instead of a full encryption. The STP knows every pk_j in
-  /// advance, so this moves its dominant cost off the request path — the
-  /// same trick §VI-A applies to SU request preparation.
+  /// Offline optimization: top SU `su_id`'s randomizer reserve up to
+  /// `count` r^n factors (and keep it there: RandomizerReserves'
+  /// floor), so the conversion re-encryption costs one modular
+  /// multiplication per entry instead of a full encryption. The STP knows
+  /// every pk_j in advance, so this moves its dominant cost off the request
+  /// path — the same trick §VI-A applies to SU request preparation.
   void precompute_su_randomizers(std::uint32_t su_id, std::size_t count);
 
-  /// Background pool maintenance for the always-warm mode
-  /// (PisaConfig::stp_pool_target > 0): top every auto-managed pool back up
-  /// to its target from the SU's private refill stream, modexps on the
-  /// shared thread pool. Called off the request path (PisaSystem invokes it
-  /// after each network drain); pool contents depend only on registration
-  /// order and pop counts, never on when refills run.
+  /// Always-warm mode (PisaConfig::stp_pool_target > 0): top every reserve
+  /// back up to its floor, modexps on the shared thread pool. Called off
+  /// the request path (PisaSystem invokes it after each network drain).
   void maintain_pools();
 
-  /// Available precomputed factors for one SU (0 if no pool).
+  /// Precomputed factors queued for one SU (0 if it has no reserve).
   std::size_t pool_available(std::uint32_t su_id) const;
+
+  /// The per-SU reserves behind every re-encryption (DESIGN.md §3.5);
+  /// ServerStack::idle_step tops them up between requests, under the
+  /// RandomizerReserves policy.
+  crypto::RandomizerReserves& reserves() { return reserves_; }
 
   /// Execution lanes for conversion and pool refills (nullptr = sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
@@ -108,14 +111,13 @@ class StpServer {
 
  private:
   /// One Ṽ entry of a (possibly batched) conversion, flattened: where its
-  /// ciphertext lives, which SU key re-encrypts it, and the pre-staged
-  /// randomness (pooled factor, fast-base exponent, or fresh r, by mode).
+  /// ciphertext lives, which SU key re-encrypts it, and its staged draw
+  /// from that SU's reserve.
   struct ConvertEntry;
 
-  /// Sequential randomness pre-pass for `count` entries of one SU, written
-  /// into entries[base..base+count): drain the SU's pool while it lasts,
-  /// then fall back to the cached fast base (short exponents) or fresh
-  /// random_coprime draws from rng_ for the remainder.
+  /// Sequential pre-pass for `count` entries of one SU, written into
+  /// entries[base..base+count): the SU's next `count` reserve draws, in
+  /// entry order.
   void stage_randomness(std::uint32_t su_id, std::size_t count,
                         std::vector<ConvertEntry>& entries, std::size_t base);
 
@@ -128,11 +130,6 @@ class StpServer {
   crypto::PaillierKeyPair group_;
   std::shared_ptr<exec::ThreadPool> exec_;
   std::map<std::uint32_t, crypto::PaillierPublicKey> su_keys_;
-  std::map<std::uint32_t, crypto::RandomizerPool> su_pools_;
-  std::map<std::uint32_t, crypto::FastRandomizerBase> su_fast_bases_;
-  /// Private refill stream per auto-managed (always-warm) pool, seeded at
-  /// registration — keeps pool contents independent of refill timing.
-  std::map<std::uint32_t, crypto::ChaChaRng> su_streams_;
   std::optional<crypto::ThresholdDeal> deal_;  // set iff cfg.threshold_stp
   net::DedupWindow seen_frames_;  // at-least-once replay defence
   std::uint64_t conversions_ = 0;
@@ -141,14 +138,12 @@ class StpServer {
   std::uint64_t probes_ = 0;
   std::uint64_t probe_slots_ = 0;
 
-  /// Private runtime stream for conversion randomness (fast-base setup,
-  /// refill-stream seeds, fresh factors), seeded once from the construction
-  /// rng. Conversion outputs then depend only on this entity's own draw
-  /// order — never on how its work interleaves with other parties on a
-  /// shared simulation rng — which is what makes batched and per-request
-  /// conversion byte-identical for every batch composition (DESIGN.md
-  /// §3.5). Declared last: its seed draw follows key generation.
-  crypto::ChaChaRng stream_;
+  /// Per-SU factor streams under a secret seeded once from the
+  /// construction rng. Conversion outputs then depend only on each SU's own
+  /// consumption order — never on batch composition, thread count or how
+  /// this entity's work interleaves with other parties (DESIGN.md §3.5).
+  /// Declared last: its seed draw follows key generation.
+  crypto::RandomizerReserves reserves_;
 };
 
 }  // namespace pisa::core

@@ -11,8 +11,7 @@ namespace pisa::core {
 SuClient::SuClient(std::uint32_t su_id, const PisaConfig& cfg,
                    crypto::PaillierPublicKey group_pk, bn::RandomSource& rng)
     : su_id_(su_id), cfg_(cfg), group_pk_(std::move(group_pk)), rng_(rng),
-      keys_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)),
-      pool_(group_pk_, 0) {
+      keys_(crypto::paillier_generate(cfg.paillier_bits, rng, cfg.mr_rounds)) {
   cfg_.validate();
 }
 
@@ -21,10 +20,10 @@ void SuClient::set_thread_pool(std::shared_ptr<exec::ThreadPool> pool) {
 }
 
 void SuClient::precompute_randomizers(std::size_t count) {
-  if (cfg_.fast_randomizers && !fast_base_)
-    fast_base_.emplace(group_pk_, rng_);
-  pool_ = crypto::RandomizerPool{group_pk_, count};
-  pool_.refill(rng_, exec_.get(), fast_base_ ? &*fast_base_ : nullptr);
+  if (!pool_)
+    pool_.emplace(group_pk_, crypto::SubStreams{rng_}.stream(0),
+                  cfg_.fast_randomizers);
+  pool_->fill(count, exec_.get());
 }
 
 SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
@@ -91,7 +90,10 @@ SuRequestMsg SuClient::prepare_request(const watch::QMatrix& f,
     bool pooled = mode == PrepMode::kPooled ||
                   (mode == PrepMode::kHybrid && all_zero);
     if (pooled) {
-      factors[idx] = pool_.pop();
+      if (randomizers_available() == 0)
+        throw std::runtime_error(
+            "SuClient: randomizer pool exhausted (call precompute_randomizers)");
+      factors[idx] = pool_->take();
     } else {
       factors[idx] = bn::random_coprime(rng_, group_pk_.n());
       is_fresh[idx] = 1;

@@ -21,6 +21,7 @@
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_pool.hpp"
 #include "crypto/rsa_signature.hpp"
 #include "watch/matrices.hpp"
 
@@ -48,11 +49,14 @@ class SuClient {
     return keys_.pk;
   }
 
-  /// Precompute `count` r^n randomizer factors (the offline phase). Runs on
-  /// the thread pool when one is set; uses the fixed-base table when
-  /// cfg.fast_randomizers is on.
+  /// Top the r^n randomizer pool up to `count` factors (the offline
+  /// phase). Runs on the thread pool when one is set; uses the fixed-base
+  /// table when cfg.fast_randomizers is on. The pool's stream is seeded
+  /// from the SU's rng on the first call.
   void precompute_randomizers(std::size_t count);
-  std::size_t randomizers_available() const { return pool_.available(); }
+  std::size_t randomizers_available() const {
+    return pool_ ? pool_->available() : 0;
+  }
 
   /// Execution lanes for request preparation (nullptr = sequential).
   void set_thread_pool(std::shared_ptr<exec::ThreadPool> pool);
@@ -93,9 +97,8 @@ class SuClient {
   crypto::PaillierPublicKey group_pk_;
   bn::RandomSource& rng_;
   crypto::PaillierKeyPair keys_;
-  crypto::RandomizerPool pool_;
+  std::optional<crypto::RandomizerPool> pool_;
   std::shared_ptr<exec::ThreadPool> exec_;
-  std::optional<crypto::FastRandomizerBase> fast_base_;
 };
 
 }  // namespace pisa::core

@@ -301,40 +301,4 @@ BigUint FastRandomizerBase::make(bn::RandomSource& rng) const {
   return table_.pow(bn::random_bits(rng, kExponentBits));
 }
 
-RandomizerPool::RandomizerPool(PaillierPublicKey pk, std::size_t capacity)
-    : pk_(std::move(pk)), capacity_(capacity) {
-  pool_.reserve(capacity_);
-}
-
-void RandomizerPool::refill(bn::RandomSource& rng) {
-  while (pool_.size() < capacity_) pool_.push_back(pk_.make_randomizer(rng));
-}
-
-void RandomizerPool::refill(bn::RandomSource& rng, exec::ThreadPool* pool,
-                            const FastRandomizerBase* fast) {
-  if (pool_.size() >= capacity_) return;
-  std::size_t base = pool_.size();
-  std::size_t need = capacity_ - base;
-  if (fast != nullptr) {
-    // Short exponents sampled sequentially, table powers in parallel.
-    std::vector<BigUint> ks(need);
-    for (auto& k : ks) k = bn::random_bits(rng, FastRandomizerBase::kExponentBits);
-    pool_.resize(capacity_);
-    exec::parallel_for(pool, 0, need, [&](std::size_t i) {
-      pool_[base + i] = fast->from_exponent(ks[i]);
-    });
-    return;
-  }
-  auto factors = pk_.make_randomizer_batch(need, rng, pool);
-  for (auto& f : factors) pool_.push_back(std::move(f));
-}
-
-BigUint RandomizerPool::pop() {
-  if (pool_.empty())
-    throw std::runtime_error("RandomizerPool: exhausted (call refill offline)");
-  BigUint r = std::move(pool_.back());
-  pool_.pop_back();
-  return r;
-}
-
 }  // namespace pisa::crypto

@@ -12,10 +12,11 @@
 //    ablation benchmark.
 //  * Signed plaintexts use the centered lift: residues above n/2 decode as
 //    negatives. All of PISA's interference algebra is signed.
-//  * RandomizerPool precomputes r^n factors so that a live request only
-//    costs one modular multiplication per entry — the paper's "pre-stored
-//    ciphertexts times r^n" trick (§VI-A) that turns 221 s of preparation
-//    into ≈11 s.
+//  * rerandomize_with() takes a precomputed r^n factor, so a live request
+//    only costs one modular multiplication per entry — the paper's
+//    "pre-stored ciphertexts times r^n" trick (§VI-A) that turns 221 s of
+//    preparation into ≈11 s. The factors come from a RandomizerPool
+//    (randomizer_pool.hpp).
 #pragma once
 
 #include <cstddef>
@@ -154,7 +155,8 @@ class PaillierPublicKey {
       std::span<const PaillierCiphertext> cs, bn::RandomSource& rng,
       exec::ThreadPool* pool = nullptr) const;
 
-  /// `count` fresh r^n factors (the RandomizerPool refill kernel).
+  /// `count` fresh r^n factors: the r_i drawn from `rng` in order, the
+  /// modexps on `pool`.
   std::vector<bn::BigUint> make_randomizer_batch(
       std::size_t count, bn::RandomSource& rng,
       exec::ThreadPool* pool = nullptr) const;
@@ -258,36 +260,6 @@ class FastRandomizerBase {
  private:
   PaillierPublicKey pk_;
   bn::FixedBaseTable table_;
-};
-
-/// Offline pool of precomputed r^n blinding factors (paper §VI-A: request
-/// re-preparation drops from ~221 s to ~11 s when the modexps are moved
-/// offline). pop() consumes one factor; refill() tops the pool back up.
-class RandomizerPool {
- public:
-  RandomizerPool(PaillierPublicKey pk, std::size_t capacity);
-
-  /// Precompute until `capacity` factors are available.
-  void refill(bn::RandomSource& rng);
-
-  /// Thread-aware refill: r values are sampled from `rng` sequentially (so
-  /// the pool contents do not depend on the thread count), the modexps run
-  /// on `pool`. With `fast` set, factors come from the fixed-base table
-  /// instead of full modexps (cheap enough that the pool is mostly a FIFO
-  /// of table lookups).
-  void refill(bn::RandomSource& rng, exec::ThreadPool* pool,
-              const FastRandomizerBase* fast = nullptr);
-
-  /// Take one factor. Throws std::runtime_error if the pool is empty.
-  bn::BigUint pop();
-
-  std::size_t available() const { return pool_.size(); }
-  const PaillierPublicKey& public_key() const { return pk_; }
-
- private:
-  PaillierPublicKey pk_;
-  std::size_t capacity_;
-  std::vector<bn::BigUint> pool_;
 };
 
 }  // namespace pisa::crypto

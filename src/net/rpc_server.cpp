@@ -12,6 +12,7 @@ RpcServer::RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts, std::uint16_t port)
     : stack_(cfg, rng), tcp_(opts) {
   stack_.attach(tcp_);
+  tcp_.set_idle_hook([this] { return stack_.idle_step(); });
   tcp_.listen(port);
 }
 

@@ -52,9 +52,10 @@ namespace pisa::rpc {
 
 class RpcServer {
  public:
-  /// Build the ServerStack from `rng`, attach it to a fresh TcpTransport
-  /// and start listening on 127.0.0.1:`port` (0 = ephemeral; read the
-  /// bound port back with port()).
+  /// Build the ServerStack from `rng`, attach it to a fresh TcpTransport,
+  /// give the dispatch lane's idle time to ServerStack::idle_step and start
+  /// listening on 127.0.0.1:`port` (0 = ephemeral; read the bound port back
+  /// with port()).
   explicit RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
                      net::TcpOptions opts = {}, std::uint16_t port = 0);
   /// Stops the transport first: no handler may run while the entities die.
@@ -87,9 +88,9 @@ class RpcServer {
   /// out at the client — typed, never a partial reconstruction. Idempotent.
   void crash_pir_replica(std::size_t index) { stack_.crash_pir_replica(index); }
 
-  /// Off-path STP pool maintenance (always-warm mode); benches call this
-  /// between waves, mirroring PisaSystem's post-drain call.
-  void maintain_pools() { stack_.stp().maintain_pools(); }
+  /// Randomizer factors the dispatch lane's idle slices have queued
+  /// (ServerStack::reserved_factors). Read it with the lane quiesced.
+  std::size_t reserved_factors() { return stack_.reserved_factors(); }
 
   net::TcpTransport& transport() { return tcp_; }
 

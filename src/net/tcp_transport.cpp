@@ -523,30 +523,71 @@ void TcpTransport::io_loop() {
 
 // --- dispatch thread ---------------------------------------------------------
 
+void TcpTransport::set_idle_hook(std::function<bool()> hook) {
+  {
+    std::lock_guard<std::mutex> lk(dmu_);
+    idle_hook_ = std::move(hook);
+    idle_more_ = static_cast<bool>(idle_hook_);
+  }
+  dispatch_cv_.notify_one();
+}
+
+bool TcpTransport::timer_due() {
+  std::lock_guard<std::mutex> lk(mu_);
+  return !timers_.empty() &&
+         timers_.top().due <= std::chrono::steady_clock::now();
+}
+
 bool TcpTransport::quiesce(double timeout_ms) {
-  std::unique_lock<std::mutex> lk(dmu_);
-  return dispatch_idle_cv_.wait_for(
-      lk, std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-      [this] {
-        return stopping_.load() || (dispatch_.empty() && !dispatch_busy_);
-      });
+  bool idle;
+  {
+    std::unique_lock<std::mutex> lk(dmu_);
+    ++quiescers_;
+    idle = dispatch_idle_cv_.wait_for(
+        lk,
+        std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
+        [this] {
+          return stopping_.load() || (dispatch_.empty() && !dispatch_busy_);
+        });
+    --quiescers_;
+  }
+  dispatch_cv_.notify_one();  // idle slices may resume
+  return idle;
 }
 
 void TcpTransport::dispatch_loop() {
   for (;;) {
     DispatchItem item;
-    std::size_t depth_after;
+    bool idle_slice = false;
+    std::size_t depth_after = 0;
     {
       std::unique_lock<std::mutex> lk(dmu_);
       dispatch_cv_.wait(lk, [this] {
-        return stopping_.load() || !dispatch_.empty();
+        return stopping_.load() || !dispatch_.empty() ||
+               (idle_more_ && quiescers_ == 0);
       });
       if (stopping_.load()) return;
-      item = std::move(dispatch_.front());
-      dispatch_.pop_front();
-      depth_after = dispatch_.size();
+      if (dispatch_.empty()) {
+        idle_slice = true;
+      } else {
+        item = std::move(dispatch_.front());
+        dispatch_.pop_front();
+        depth_after = dispatch_.size();
+      }
       dispatch_busy_ = true;
     }
+
+    if (idle_slice) {
+      // A due timer is about to be queued by the I/O thread: leave the
+      // lane to it, and park until it (or any frame) arrives.
+      const bool more = !timer_due() && idle_hook_();
+      std::lock_guard<std::mutex> lk(dmu_);
+      idle_more_ = more;
+      dispatch_busy_ = false;
+      if (dispatch_.empty()) dispatch_idle_cv_.notify_all();
+      continue;
+    }
+
     // Crossing the low-water mark un-pauses reads (the I/O thread makes the
     // actual epoll changes on its next pass).
     if (depth_after == opts_.dispatch_low_water) wake_io();
@@ -571,6 +612,7 @@ void TcpTransport::dispatch_loop() {
     {
       std::lock_guard<std::mutex> lk(dmu_);
       dispatch_busy_ = false;
+      idle_more_ = static_cast<bool>(idle_hook_);  // the handler may have made work
       if (dispatch_.empty()) dispatch_idle_cv_.notify_all();
     }
   }

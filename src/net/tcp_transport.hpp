@@ -123,10 +123,17 @@ class TcpTransport final : public Transport {
   /// call in virtual time).
   void schedule_after(double delay_us, std::function<void()> fn) override;
 
+  /// Idle work for the dispatch lane (DESIGN.md §3.7): `hook` runs on the
+  /// dispatch thread, one bounded slice per call, only while no frame or
+  /// due timer is queued and no quiesce() is waiting. It returns whether
+  /// more work remains; false parks it until the lane next dispatches
+  /// something. Install before traffic starts.
+  void set_idle_hook(std::function<bool()> hook);
+
   // --- teardown / draining --------------------------------------------------
   /// Stop both threads and close every socket. Called by the destructor;
   /// idempotent. Frames already handed to handlers are done; queued ones
-  /// are dropped.
+  /// are dropped; a running idle slice finishes first.
   void stop();
 
   /// Block until every connection's write queue is empty (all queued bytes
@@ -135,7 +142,9 @@ class TcpTransport final : public Transport {
   bool flush(double timeout_ms);
 
   /// Block until the dispatch lane is idle — queue empty and no handler
-  /// executing — or `timeout_ms` elapses. Returns true when idle. Because
+  /// executing — or `timeout_ms` elapses. Returns true when idle. An idle
+  /// slice already running is waited for; no new one starts while a
+  /// quiesce() waits (slices resume once it returns). Because
   /// handlers enqueue their local follow-on sends before returning (the
   /// serial lane), an idle lane means every causal chain rooted in an
   /// already-dispatched frame has fully run; frames still in the kernel or
@@ -202,6 +211,7 @@ class TcpTransport final : public Transport {
 
   void io_loop();
   void dispatch_loop();
+  bool timer_due();  // takes mu_
   void wake_io();
 
   // All of the below require mu_ held unless noted.
@@ -242,7 +252,10 @@ class TcpTransport final : public Transport {
   std::condition_variable dispatch_cv_;
   std::condition_variable dispatch_idle_cv_;  // quiesce(): lane went idle
   std::deque<DispatchItem> dispatch_;
-  bool dispatch_busy_ = false;  // a handler is executing (dmu_)
+  bool dispatch_busy_ = false;  // a handler or idle slice is executing (dmu_)
+  std::function<bool()> idle_hook_;  // set_idle_hook (dmu_)
+  bool idle_more_ = false;      // the hook may have work (dmu_)
+  std::size_t quiescers_ = 0;   // quiesce() callers waiting (dmu_)
 
   std::atomic<bool> stopping_{false};
   std::thread io_thread_;

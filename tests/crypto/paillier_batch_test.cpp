@@ -10,6 +10,7 @@
 #include "bigint/prime.hpp"
 #include "crypto/chacha_rng.hpp"
 #include "crypto/paillier.hpp"
+#include "crypto/randomizer_pool.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace pisa::crypto {
@@ -155,17 +156,15 @@ TEST_F(PaillierBatchTest, MakeRandomizerBatchMatchesPerEntryLoop) {
 }
 
 TEST_F(PaillierBatchTest, RandomizerPoolRefillIsThreadCountInvariant) {
-  RandomizerPool ref_pool{kp().pk, 6};
-  ChaChaRng rng_ref{std::uint64_t{31}};
-  ref_pool.refill(rng_ref);
+  RandomizerPool ref_pool{kp().pk, ChaChaRng{std::uint64_t{31}}, false};
+  ref_pool.fill(6, nullptr);
   std::vector<bn::BigUint> reference;
-  for (int i = 0; i < 6; ++i) reference.push_back(ref_pool.pop());
+  for (int i = 0; i < 6; ++i) reference.push_back(ref_pool.take());
 
   exec::ThreadPool pool{4};
-  RandomizerPool par_pool{kp().pk, 6};
-  ChaChaRng rng{std::uint64_t{31}};
-  par_pool.refill(rng, &pool);
-  for (int i = 0; i < 6; ++i) EXPECT_EQ(par_pool.pop(), reference[i]);
+  RandomizerPool par_pool{kp().pk, ChaChaRng{std::uint64_t{31}}, false};
+  par_pool.fill(6, &pool);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(par_pool.take(), reference[i]);
 }
 
 TEST(FixedBaseTableTest, PowMatchesMontgomeryPow) {
@@ -203,15 +202,13 @@ TEST_F(PaillierBatchTest, FastRandomizerBaseFactorsAreValidRandomizers) {
 }
 
 TEST_F(PaillierBatchTest, RefillWithFastBaseProducesValidFactors) {
-  ChaChaRng rng{std::uint64_t{0xFB}};
-  FastRandomizerBase base{kp().pk, rng};
-  RandomizerPool pool_obj{kp().pk, 5};
+  RandomizerPool pool_obj{kp().pk, ChaChaRng{std::uint64_t{0xFB}}, /*fast=*/true};
   exec::ThreadPool tp{2};
-  pool_obj.refill(rng, &tp, &base);
+  pool_obj.fill(5, &tp);
   auto m = bn::BigUint{777};
   auto ct = kp().pk.encrypt_deterministic(m);
   for (int i = 0; i < 5; ++i) {
-    auto rr = kp().pk.rerandomize_with(ct, pool_obj.pop());
+    auto rr = kp().pk.rerandomize_with(ct, pool_obj.take());
     EXPECT_EQ(kp().sk.decrypt(rr), m);
   }
 }

@@ -4,6 +4,7 @@
 
 #include "bigint/prime.hpp"
 #include "crypto/chacha_rng.hpp"
+#include "crypto/randomizer_pool.hpp"
 
 namespace pisa::crypto {
 namespace {
@@ -119,19 +120,23 @@ TEST_F(PaillierFixture, RerandomizePreservesPlaintext) {
 }
 
 TEST_F(PaillierFixture, RandomizerPoolRerandomizesCheaply) {
-  RandomizerPool pool{kp.pk, 4};
+  RandomizerPool pool{kp.pk, SubStreams{rng}.stream(0), /*fast=*/false};
   EXPECT_EQ(pool.available(), 0u);
-  pool.refill(rng);
+  pool.fill(4, nullptr);
   EXPECT_EQ(pool.available(), 4u);
   auto ct = kp.pk.encrypt_deterministic(BigUint{31337});
-  auto fresh = kp.pk.rerandomize_with(ct, pool.pop());
+  auto fresh = kp.pk.rerandomize_with(ct, pool.take());
   EXPECT_EQ(pool.available(), 3u);
   EXPECT_NE(fresh, ct);
   EXPECT_EQ(kp.sk.decrypt(fresh).to_u64(), 31337u);
-  pool.pop();
-  pool.pop();
-  pool.pop();
-  EXPECT_THROW(pool.pop(), std::runtime_error);
+  pool.take();
+  pool.take();
+  pool.take();
+  EXPECT_EQ(pool.available(), 0u);
+  // An empty pool raises its stream's next factor inline.
+  auto inline_ct = kp.pk.rerandomize_with(ct, pool.take());
+  EXPECT_NE(inline_ct, fresh);
+  EXPECT_EQ(kp.sk.decrypt(inline_ct).to_u64(), 31337u);
 }
 
 TEST_F(PaillierFixture, DeterministicEncryptIsAdditive) {
