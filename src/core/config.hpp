@@ -58,17 +58,10 @@ struct DurabilityConfig {
 /// in one cheap round — no Ṽ blinding, no STP round-trip. Cuckoo false
 /// positives are vetoed by the exact set, so decisions are always identical
 /// to the filter-off pipeline (no false denials, ever).
+/// Each shard's filter is sized for its whole group-range × blocks grid at
+/// a fixed 1/1024 false-positive target (core/sdc_state.cpp).
 struct DenialFilterConfig {
   bool enabled = false;
-
-  /// Target false-positive probability of the keyed cuckoo layer. Only a
-  /// sizing hint (the exact set makes FPs harmless); smaller = fewer wasted
-  /// exact-set probes, larger fingerprints.
-  double fpp = 1.0 / 1024.0;
-
-  /// Per-shard filter capacity in (channel-group, block) cells. 0 = size
-  /// for the shard's whole group-range × blocks grid (always sufficient).
-  std::size_t capacity = 0;
 };
 
 /// How an SU learns whether its transmission is licensed (DESIGN.md §3.10).
@@ -162,12 +155,6 @@ struct PisaConfig {
   /// coalesces requests delivered at the same virtual instant.
   double convert_batch_linger_us = 0.0;
 
-  /// Virtual-time watchdog per in-flight batch: if the STP's reply never
-  /// arrives (transport gave up), the batcher unblocks and flushes the next
-  /// staged batch instead of wedging. 0 = derive from the reliability retry
-  /// budget (or a 1 s default on the perfect bus).
-  double convert_batch_watchdog_us = 0.0;
-
   /// Always-warm STP randomizer pools: fill each SU's reserve to this many
   /// r^n factors at key registration and keep it there (maintain_pools()
   /// after each simulated drain; idle slices on a TCP server), so the
@@ -234,18 +221,11 @@ struct PisaConfig {
     if (convert_batch_linger_us < 0)
       throw std::invalid_argument(
           "PisaConfig: convert_batch_linger_us must be >= 0");
-    if (convert_batch_watchdog_us < 0)
-      throw std::invalid_argument(
-          "PisaConfig: convert_batch_watchdog_us must be >= 0");
     if (query_mode == QueryMode::kPir &&
         (pir.replicas < 2 || pir.replicas > 16))
       throw std::invalid_argument(
           "PisaConfig: pir.replicas must be in [2, 16] (one server sees the "
           "query in the clear; more than 16 buys nothing but wire bytes)");
-    if (denial_filter.enabled &&
-        !(denial_filter.fpp > 0.0 && denial_filter.fpp < 1.0))
-      throw std::invalid_argument(
-          "PisaConfig: denial_filter.fpp must be in (0,1)");
     if (reliability.enabled) {
       if (reliability.timeout_us <= 0)
         throw std::invalid_argument("PisaConfig: reliability.timeout_us must be > 0");

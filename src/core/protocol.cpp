@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "crypto/key_codec.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace pisa::core {
@@ -17,153 +16,42 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+std::unique_ptr<net::ReliableTransport> make_reliable(const ReliabilityConfig& r,
+                                                     net::SimulatedNetwork& net) {
+  if (!r.enabled) return nullptr;
+  return std::make_unique<net::ReliableTransport>(
+      net, net::ReliablePolicy{r.max_retries, r.timeout_us, r.backoff, r.dedup_window});
+}
+
 }  // namespace
 
 PisaSystem::PisaSystem(const PisaConfig& cfg, std::vector<watch::PuSite> sites,
                        const radio::PathLossModel& model, bn::RandomSource& rng)
-    : sites_(std::move(sites)), model_(model), rng_(rng),
+    : sites_(std::move(sites)), model_(model),
       d_c_m_(watch::exclusion_radius_m(cfg.watch, model)), stack_(cfg, rng),
-      cfg_(stack_.config()) {
-  if (cfg_.reliability.enabled) {
-    net::ReliablePolicy policy;
-    policy.max_retries = cfg_.reliability.max_retries;
-    policy.timeout_us = cfg_.reliability.timeout_us;
-    policy.backoff = cfg_.reliability.backoff;
-    policy.dedup_window = cfg_.reliability.dedup_window;
-    reliable_ = std::make_unique<net::ReliableTransport>(net_, policy);
-  }
+      cfg_(stack_.config()), reliable_(make_reliable(cfg_.reliability, net_)),
+      clients_(cfg_, stack_.stp().group_key(), rng, transport(),
+               {stack_.thread_pool(), [this] { net_.run(); },
+                [this] { return net_.now_us(); }, false}) {
   stack_.attach(transport());
-
-  // Each PU takes the full public E matrix: a mobile receiver must be able
-  // to recompute w = T − E at whatever block it drives into.
-  auto e = watch::make_e_matrix(cfg_.watch);
-  for (const auto& site : sites_) {
-    auto [it, inserted] = pus_.emplace(
-        site.pu_id,
-        std::make_unique<PuClient>(site, cfg_, stp().group_key(), e, rng_));
-    if (!inserted)
-      throw std::invalid_argument("PisaSystem: duplicate PU id");
-    it->second->set_thread_pool(thread_pool());
-    // PU endpoints receive nothing at the application layer, but the
-    // reliable transport needs them registered so ACKs for their updates
-    // come home.
-    transport().register_endpoint(
-        "pu_" + std::to_string(site.pu_id), [](const net::Message& msg) {
-          throw std::runtime_error("PU endpoint: unexpected message " + msg.type);
-        });
-  }
-}
-
-net::Transport& PisaSystem::transport() {
-  if (reliable_) return *reliable_;
-  return net_;
+  for (const auto& site : sites_) clients_.add_pu(site);
 }
 
 SuClient& PisaSystem::add_su(std::uint32_t su_id, std::size_t precompute) {
-  if (sus_.contains(su_id))
-    throw std::invalid_argument("PisaSystem: duplicate SU id");
-  auto client = std::make_unique<SuClient>(su_id, cfg_, stp().group_key(), rng_);
-  client->set_thread_pool(thread_pool());
-  // The endpoint must exist before the key upload: under the reliable
-  // transport the STP's ACK comes back to it.
-  transport().register_endpoint(su_name(su_id), [this](const net::Message& msg) {
-    if (msg.type == pir::kMsgPirReply) {
-      auto reply = pir::PirReplyMsg::decode(msg.payload);
-      // Last reply's arrival is the request's completion time.
-      response_arrival_us_.insert_or_assign(reply.request_id, net_.now_us());
-      pir_replies_[reply.request_id].push_back(std::move(reply));
-      return;
-    }
-    if (msg.type == kMsgFastDeny) {
-      // §3.8 one-round denial; decode() validates the fixed-size zero pad.
-      auto deny = FastDenyMsg::decode(msg.payload);
-      response_arrival_us_.insert_or_assign(deny.request_id, net_.now_us());
-      fast_denied_.insert(deny.request_id);
-      return;
-    }
-    if (msg.type != kMsgSuResponse)
-      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-    auto resp = SuResponseMsg::decode(msg.payload);
-    response_arrival_us_.insert_or_assign(resp.request_id, net_.now_us());
-    responses_.insert_or_assign(resp.request_id, std::move(resp));
-  });
-  // Paper §III-C: the SU uploads pk_j to the STP; the SDC retrieves it from
-  // the STP's directory on demand (asynchronously, during the first request).
-  KeyRegisterMsg reg{su_id, crypto::serialize(client->public_key())};
-  transport().send({su_name(su_id), "stp", kMsgKeyRegister, reg.encode()});
+  auto& client = clients_.add_su(su_id, precompute);
   net_.run();
-  if (precompute > 0) client->precompute_randomizers(precompute);
-  if (cfg_.query_mode == QueryMode::kPir)
-    pir_clients_.emplace(
-        su_id, std::make_unique<pir::PirClient>(
-                   su_id, cfg_.pir.replicas,
-                   cfg_.watch.make_area().num_blocks(), rng_));
-  auto& ref = *client;
-  sus_.emplace(su_id, std::move(client));
-  return ref;
+  return client;
 }
-
-SuClient& PisaSystem::su(std::uint32_t su_id) {
-  auto it = sus_.find(su_id);
-  if (it == sus_.end()) throw std::out_of_range("PisaSystem: unknown SU");
-  return *it->second;
-}
-
-PuClient& PisaSystem::pu(std::uint32_t pu_id) {
-  auto it = pus_.find(pu_id);
-  if (it == pus_.end()) throw std::out_of_range("PisaSystem: unknown PU");
-  return *it->second;
-}
-
-namespace {
-
-// PIR mode: the PU's plaintext column for the replicas, built before
-// make_update / make_delta commits the footprint (it is const and consumes
-// no randomness either way).
-std::optional<pir::PirUpdateMsg> pir_column(const PisaConfig& cfg,
-                                            const PuClient& client,
-                                            const watch::PuTuning& tuning) {
-  if (cfg.query_mode != QueryMode::kPir) return std::nullopt;
-  return client.make_pir_update(tuning);
-}
-
-}  // namespace
 
 void PisaSystem::pu_update(std::uint32_t pu_id, const watch::PuTuning& tuning) {
-  auto& client = pu(pu_id);
-  auto pir_msg = pir_column(cfg_, client, tuning);
-  auto update = client.make_update(tuning);
-  send_pu(pu_id, kMsgPuUpdate,
-          update.encode(stp().group_key().ciphertext_bytes()), pir_msg);
+  clients_.send_pu(pu_id, tuning, /*delta=*/false);
+  net_.run();
 }
 
 bool PisaSystem::pu_delta(std::uint32_t pu_id, const watch::PuTuning& tuning) {
-  auto& client = pu(pu_id);
-  auto pir_msg = pir_column(cfg_, client, tuning);
-  auto delta = client.make_delta(tuning);
-  if (!delta) return false;
-  send_pu(pu_id, kMsgPuDelta,
-          delta->encode(stp().group_key().ciphertext_bytes()), pir_msg);
-  return true;
-}
-
-void PisaSystem::send_pu(std::uint32_t pu_id, const std::string& type,
-                         std::vector<std::uint8_t> payload,
-                         const std::optional<pir::PirUpdateMsg>& pir_msg) {
-  const auto from = "pu_" + std::to_string(pu_id);
-  transport().send({from, "sdc", type, std::move(payload)});
-  // Replicas always take the full current column — they diff against their
-  // stored copy, so a delta-sized event still refreshes only touched rows.
-  if (pir_msg) {
-    auto bytes = pir_msg->encode();
-    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-      transport().send({from, pir::replica_name(i), pir::kMsgPirUpdate, bytes});
-  }
+  if (!clients_.send_pu(pu_id, tuning, /*delta=*/true)) return false;
   net_.run();
-}
-
-void PisaSystem::pu_move(std::uint32_t pu_id, std::uint32_t block) {
-  pu(pu_id).move_to(block);
+  return true;
 }
 
 watch::QMatrix PisaSystem::build_f(const watch::SuRequest& request) const {
@@ -174,15 +62,14 @@ watch::QMatrix PisaSystem::build_f(const watch::SuRequest& request) const {
 PisaSystem::RequestOutcome PisaSystem::su_request(
     const watch::SuRequest& request,
     std::optional<std::pair<std::uint32_t, std::uint32_t>> range, PrepMode mode) {
-  std::uint64_t rid = next_request_id_++;
   auto f = build_f(request);
-  std::uint32_t lo = range ? range->first : 0;
-  std::uint32_t hi = range ? range->second : static_cast<std::uint32_t>(f.blocks());
   if (cfg_.query_mode == QueryMode::kPir)
-    return su_request_pir(request.su_id, f, rid, lo, hi);
-  auto msg = su(request.su_id).prepare_request(f, rid, lo, hi, mode);
+    return su_request_pir(request.su_id, f, range ? range->first : 0,
+                          range ? range->second
+                                : static_cast<std::uint32_t>(f.blocks()));
+  auto p = clients_.prepare_request(request.su_id, f, range, mode);
 
-  const auto name = su_name(request.su_id);
+  const auto name = ClientStack::su_name(request.su_id);
   auto su_sdc_before = net_.stats(name, "sdc").bytes;
   auto sdc_stp_before = net_.stats("sdc", "stp").bytes;
   auto stp_sdc_before = net_.stats("stp", "sdc").bytes;
@@ -190,15 +77,14 @@ PisaSystem::RequestOutcome PisaSystem::su_request(
 
   std::size_t failures_before = failure_mark();
   double t_send = net_.now_us();
-  transport().send({name, "sdc", kMsgSuRequest,
-                    msg.encode(stp().group_key().ciphertext_bytes())});
+  clients_.submit(p);
   net_.run();
   double t_done = net_.now_us();
   // Off-path pool maintenance: top the STP's always-warm pools back up
   // between requests so the next conversion hits precomputed factors.
   stp().maintain_pools();
 
-  auto out = collect_outcome(rid, request.su_id, t_send, failures_before);
+  auto out = collect_outcome(p.request_id, request.su_id, t_send, failures_before);
   if (!out.completed()) out.latency_us = t_done - t_send;
   out.request_bytes = net_.stats(name, "sdc").bytes - su_sdc_before;
   out.convert_bytes = net_.stats("sdc", "stp").bytes - sdc_stp_before;
@@ -211,42 +97,28 @@ PisaSystem::RequestOutcome PisaSystem::collect_outcome(
     std::uint64_t rid, std::uint32_t su_id, double t_send,
     std::size_t failures_before) {
   RequestOutcome out;
-  stamp_arrival(out, rid, t_send);
-  auto& client = su(su_id);
-  if (fast_denied_.erase(rid) != 0) {
-    // §3.8 prefilter denial: no SuResponseMsg exists for this rid.
-    out.fast_denied = true;
-    out.granted = client.process_fast_deny(FastDenyMsg{rid}).granted;
-    return out;
-  }
-  auto it = responses_.find(rid);
-  if (it == responses_.end()) {
+  ClientStack::Reply reply;
+  if (!clients_.take(rid, 0, &reply)) {
     // Graceful degradation: retries are bounded, so a quiescent network
     // with no response means some hop exhausted its budget (or an endpoint
     // vanished). Report a typed failure instead of hanging or throwing.
     fail(out, "no response delivered", failures_before);
     return out;
   }
-  auto outcome = client.process_response(it->second, sdc().license_key());
-  responses_.erase(it);
+  // Measure to response arrival, not to quiescence: trailing
+  // retransmission timers would otherwise inflate the latency.
+  out.latency_us = reply.done_us - t_send;
+  if (reply.fast_denied) {
+    // §3.8 prefilter denial: no SuResponseMsg exists for this rid.
+    out.fast_denied = true;
+    out.granted = su(su_id).process_fast_deny(FastDenyMsg{rid}).granted;
+    return out;
+  }
+  auto outcome = su(su_id).process_response(*reply.response, sdc().license_key());
   out.granted = outcome.granted;
   out.license = outcome.license;
   out.signature = outcome.signature;
   return out;
-}
-
-void PisaSystem::stamp_arrival(RequestOutcome& out, std::uint64_t rid,
-                               double t_send) {
-  // Measure to response arrival, not to quiescence: trailing
-  // retransmission timers would otherwise inflate the latency.
-  auto arrived = response_arrival_us_.find(rid);
-  if (arrived == response_arrival_us_.end()) return;
-  out.latency_us = arrived->second - t_send;
-  response_arrival_us_.erase(arrived);
-}
-
-std::size_t PisaSystem::failure_mark() const {
-  return reliable_ ? reliable_->failures().size() : 0;
 }
 
 void PisaSystem::fail(RequestOutcome& out, std::string why,
@@ -263,64 +135,31 @@ void PisaSystem::fail(RequestOutcome& out, std::string why,
   }
 }
 
-PisaSystem::RequestOutcome PisaSystem::su_request_pir(
-    std::uint32_t su_id, const watch::QMatrix& f, std::uint64_t rid,
-    std::uint32_t lo, std::uint32_t hi) {
-  auto it = pir_clients_.find(su_id);
-  if (it == pir_clients_.end())
-    throw std::out_of_range("PisaSystem: unknown SU");
-  auto& client = *it->second;
-  auto queries = client.make_queries(rid, lo, hi);
-
-  const auto name = su_name(su_id);
-  std::vector<std::size_t> up_before(cfg_.pir.replicas),
-      down_before(cfg_.pir.replicas);
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    up_before[i] = net_.stats(name, pir::replica_name(i)).bytes;
-    down_before[i] = net_.stats(pir::replica_name(i), name).bytes;
-  }
+PisaSystem::RequestOutcome PisaSystem::su_request_pir(std::uint32_t su_id,
+                                                      const watch::QMatrix& f,
+                                                      std::uint32_t lo,
+                                                      std::uint32_t hi) {
+  const auto name = ClientStack::su_name(su_id);
+  auto link_bytes = [&](bool up) {
+    std::size_t sum = 0;
+    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
+      sum += up ? net_.stats(name, pir::replica_name(i)).bytes
+                : net_.stats(pir::replica_name(i), name).bytes;
+    return sum;
+  };
+  const auto up_before = link_bytes(true), down_before = link_bytes(false);
   std::size_t failures_before = failure_mark();
 
   double t_send = net_.now_us();
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
-    transport().send({name, pir::replica_name(i), pir::kMsgPirQuery,
-                      queries[i].encode()});
-  net_.run();
-
+  auto pir_out = clients_.pir_request(su_id, f, lo, hi, 0);
   RequestOutcome out;
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    out.request_bytes += net_.stats(name, pir::replica_name(i)).bytes - up_before[i];
-    out.response_bytes +=
-        net_.stats(pir::replica_name(i), name).bytes - down_before[i];
-  }
-  out.latency_us = net_.now_us() - t_send;
-  stamp_arrival(out, rid, t_send);
-
-  auto replies = pir_replies_.find(rid);
-  std::vector<pir::PirReplyMsg> got;
-  if (replies != pir_replies_.end()) {
-    got = std::move(replies->second);
-    pir_replies_.erase(replies);
-  }
-  if (got.size() != cfg_.pir.replicas) {
-    // A replica vanished (crash) or exhausted its retry budget: XOR
-    // reconstruction from ℓ−1 shares is garbage, so this is a typed
-    // delivery failure — never a wrong answer, never a hang.
-    fail(out,
-         "got " + std::to_string(got.size()) + "/" +
-             std::to_string(cfg_.pir.replicas) + " PIR replies",
-         failures_before);
-    return out;
-  }
-  // Version/shape divergence across replicas refuses the reconstruction and
-  // surfaces as a delivery failure the caller can retry.
-  std::string why;
-  auto decision = client.decide(got, cfg_.watch, f, lo, &why);
-  if (!decision) {
-    fail(out, std::move(why), failures_before);
-    return out;
-  }
-  out.granted = decision->granted;
+  out.request_bytes = link_bytes(true) - up_before;
+  out.response_bytes = link_bytes(false) - down_before;
+  // To the last reply's arrival; to quiescence when the set never completed.
+  out.latency_us = (pir_out.done_us > 0 ? pir_out.done_us : net_.now_us()) - t_send;
+  if (!pir_out.completed)
+    fail(out, std::move(pir_out.failure), failures_before);
+  out.granted = pir_out.granted;
   return out;
 }
 
@@ -345,46 +184,34 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     if (stats != nullptr) *stats = agg;
     return outs;
   }
-  struct Prepared {
-    std::uint64_t rid = 0;
-    std::uint32_t su_id = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-
   // Phase A (SU side, independent parties): every request is built and
   // encrypted before anything is sent — the burst then lands on the SDC at
   // one virtual instant, in submission order (equal sizes, FIFO tiebreak).
   auto t_prep = std::chrono::steady_clock::now();
-  std::vector<Prepared> prepared;
+  std::vector<ClientStack::PreparedRequest> prepared;
   prepared.reserve(requests.size());
-  for (const auto& r : requests) {
-    auto& client = su(r.su_id);
-    auto f = build_f(r);
-    Prepared p;
-    p.rid = next_request_id_++;
-    p.su_id = r.su_id;
-    auto msg = client.prepare_request(
-        f, p.rid, 0, static_cast<std::uint32_t>(f.blocks()), mode);
-    p.bytes = msg.encode(stp().group_key().ciphertext_bytes());
-    prepared.push_back(std::move(p));
-  }
+  for (const auto& r : requests)
+    prepared.push_back(
+        clients_.prepare_request(r.su_id, build_f(r), std::nullopt, mode));
   double prep_ms = wall_ms_since(t_prep);
 
   const auto& stp_log = net_.audit_log("stp");
   std::size_t stp_log_before = stp_log.size();
   auto sdc_stp_before = net_.stats("sdc", "stp").bytes;
   auto stp_sdc_before = net_.stats("stp", "sdc").bytes;
-  std::size_t req_bytes_before = 0, resp_bytes_before = 0;
-  for (const auto& p : prepared) {
-    req_bytes_before += net_.stats(su_name(p.su_id), "sdc").bytes;
-    resp_bytes_before += net_.stats("sdc", su_name(p.su_id)).bytes;
-  }
+  auto su_bytes = [&](bool up) {
+    std::size_t sum = 0;
+    for (const auto& p : prepared) {
+      const auto name = ClientStack::su_name(p.su_id);
+      sum += up ? net_.stats(name, "sdc").bytes : net_.stats("sdc", name).bytes;
+    }
+    return sum;
+  };
+  const auto req_bytes_before = su_bytes(true), resp_bytes_before = su_bytes(false);
   std::size_t failures_before = failure_mark();
 
   double t_send = net_.now_us();
-  for (auto& p : prepared)
-    transport().send(
-        {su_name(p.su_id), "sdc", kMsgSuRequest, std::move(p.bytes)});
+  for (const auto& p : prepared) clients_.submit(p);
   auto t_serve = std::chrono::steady_clock::now();
   net_.run();
   double serve_ms = wall_ms_since(t_serve);
@@ -396,7 +223,7 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
   // timers fire long after the last response and must not count.
   double makespan_us = 0;
   for (const auto& p : prepared) {
-    outs.push_back(collect_outcome(p.rid, p.su_id, t_send, failures_before));
+    outs.push_back(collect_outcome(p.request_id, p.su_id, t_send, failures_before));
     makespan_us = std::max(makespan_us, outs.back().latency_us);
   }
 
@@ -412,13 +239,8 @@ std::vector<PisaSystem::RequestOutcome> PisaSystem::su_request_many(
     }
     stats->convert_bytes = net_.stats("sdc", "stp").bytes - sdc_stp_before;
     stats->convert_reply_bytes = net_.stats("stp", "sdc").bytes - stp_sdc_before;
-    std::size_t req_bytes_after = 0, resp_bytes_after = 0;
-    for (const auto& p : prepared) {
-      req_bytes_after += net_.stats(su_name(p.su_id), "sdc").bytes;
-      resp_bytes_after += net_.stats("sdc", su_name(p.su_id)).bytes;
-    }
-    stats->request_bytes = req_bytes_after - req_bytes_before;
-    stats->response_bytes = resp_bytes_after - resp_bytes_before;
+    stats->request_bytes = su_bytes(true) - req_bytes_before;
+    stats->response_bytes = su_bytes(false) - resp_bytes_before;
   }
   return outs;
 }

@@ -1,30 +1,27 @@
 // End-to-end PISA deployment over the simulated network.
 //
-// PisaSystem owns one ServerStack (STP, SDC, PIR replicas), one PuClient
-// per registered TV-receiver site and any number of SuClients, and drives
-// the full message flows of Figures 4 and 5: PU tuning updates, and the
-// two-phase SU request with the STP key-conversion round. It builds its
+// PisaSystem owns one ServerStack (STP, SDC, PIR replicas) and one
+// ClientStack (a PuClient per registered TV-receiver site, any number of
+// SuClients, the SU response registry) on one simulated network, and
+// drives the full message flows of Figures 4 and 5: PU tuning updates, and
+// the two-phase SU request with the STP key-conversion round. It builds its
 // plaintext matrices with the watch layer's own functions, so a PlainWatch
 // instance fed the same inputs is a bit-exact decision oracle for this
 // encrypted pipeline.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "bigint/random_source.hpp"
+#include "core/client_stack.hpp"
 #include "core/config.hpp"
-#include "core/pu_client.hpp"
 #include "core/server_stack.hpp"
-#include "core/su_client.hpp"
 #include "net/bus.hpp"
 #include "net/reliable_channel.hpp"
-#include "pir/pir_client.hpp"
 #include "radio/pathloss.hpp"
 #include "watch/plain_watch.hpp"
 
@@ -53,7 +50,7 @@ class PisaSystem {
   /// Vehicular mobility: relocate the PU's receiver. Takes effect on its
   /// next pu_update / pu_delta (the delta path retracts the old block's
   /// cells automatically).
-  void pu_move(std::uint32_t pu_id, std::uint32_t block);
+  void pu_move(std::uint32_t pu_id, std::uint32_t block) { pu(pu_id).move_to(block); }
 
   struct RequestOutcome {
     /// kCompleted covers both grant and deny (see `granted`);
@@ -122,6 +119,7 @@ class PisaSystem {
   const PisaConfig& config() const { return cfg_; }
   double exclusion_radius() const { return d_c_m_; }
   const std::vector<watch::PuSite>& sites() const { return sites_; }
+  const radio::PathLossModel& model() const { return model_; }
 
   net::SimulatedNetwork& network() { return net_; }
   /// The reliable transport layer, or nullptr when
@@ -161,8 +159,10 @@ class PisaSystem {
 
   SdcServer& sdc() { return stack_.sdc(); }
   StpServer& stp() { return stack_.stp(); }
-  SuClient& su(std::uint32_t su_id);
-  PuClient& pu(std::uint32_t pu_id);
+  SuClient& su(std::uint32_t su_id) { return clients_.su(su_id); }
+  PuClient& pu(std::uint32_t pu_id) { return clients_.pu(pu_id); }
+  ServerStack& servers() { return stack_; }
+  ClientStack& clients() { return clients_; }
 
   /// Shared execution pool (null when cfg.num_threads == 1).
   const std::shared_ptr<exec::ThreadPool>& thread_pool() const {
@@ -170,25 +170,16 @@ class PisaSystem {
   }
 
  private:
-  static std::string su_name(std::uint32_t id) { return "su_" + std::to_string(id); }
-
   /// The message-passing layer the entities are attached to: the reliable
   /// transport when cfg.reliability.enabled, the raw bus otherwise.
-  net::Transport& transport();
+  net::Transport& transport() {
+    return reliable_ ? static_cast<net::Transport&>(*reliable_) : net_;
+  }
 
-  /// Send one PU's SDC-bound update (`type`, `payload`) plus, in PIR mode,
-  /// its plaintext column to every replica, then drain the network.
-  void send_pu(std::uint32_t pu_id, const std::string& type,
-               std::vector<std::uint8_t> payload,
-               const std::optional<pir::PirUpdateMsg>& pir_msg);
-
-  /// §3.10 query path: split the fetch of [lo, hi) into XOR shares, one
-  /// query per replica, reconstruct and decide locally. Fills the same
-  /// RequestOutcome su_request does (license fields stay empty — a PIR
-  /// grant is a local decision, not a signed license).
+  /// §3.10 query path: ClientStack::pir_request as a RequestOutcome (no
+  /// license — a PIR grant is a local decision, not a signed license).
   RequestOutcome su_request_pir(std::uint32_t su_id, const watch::QMatrix& f,
-                                std::uint64_t rid, std::uint32_t lo,
-                                std::uint32_t hi);
+                                std::uint32_t lo, std::uint32_t hi);
 
   /// The outcome of Paillier request `rid` once the network is quiescent:
   /// fast denial, verified response, or a typed transport failure. Latency
@@ -196,33 +187,23 @@ class PisaSystem {
   RequestOutcome collect_outcome(std::uint64_t rid, std::uint32_t su_id,
                                  double t_send, std::size_t failures_before);
 
-  /// Latency to the recorded arrival of `rid`'s response, if one arrived.
-  void stamp_arrival(RequestOutcome& out, std::uint64_t rid, double t_send);
-
   /// Reliable-layer give-ups so far (0 on the raw bus): the mark a request
   /// takes before sending. fail() marks `out` kTransportFailed with `why`
   /// plus every hop that gave up after that mark.
-  std::size_t failure_mark() const;
+  std::size_t failure_mark() const {
+    return reliable_ ? reliable_->failures().size() : 0;
+  }
   void fail(RequestOutcome& out, std::string why, std::size_t failures_before) const;
 
   std::vector<watch::PuSite> sites_;
   const radio::PathLossModel& model_;
-  bn::RandomSource& rng_;
   double d_c_m_;
 
   net::SimulatedNetwork net_;
-  std::unique_ptr<net::ReliableTransport> reliable_;
   ServerStack stack_;
   const PisaConfig& cfg_;  // stack_.config(), validated
-  std::map<std::uint32_t, std::unique_ptr<PuClient>> pus_;
-  std::map<std::uint32_t, std::unique_ptr<SuClient>> sus_;
-  std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
-  /// PIR replies collected at the SU endpoints, keyed by request id.
-  std::map<std::uint64_t, std::vector<pir::PirReplyMsg>> pir_replies_;
-  std::map<std::uint64_t, SuResponseMsg> responses_;  // by request id
-  std::set<std::uint64_t> fast_denied_;  // request ids answered by FastDenyMsg
-  std::map<std::uint64_t, double> response_arrival_us_;  // by request id
-  std::uint64_t next_request_id_ = 1;
+  std::unique_ptr<net::ReliableTransport> reliable_;
+  ClientStack clients_;
 };
 
 }  // namespace pisa::core

@@ -18,20 +18,6 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// SimScenarioDriver
-
-void SimScenarioDriver::pu_move(std::uint32_t pu_id, std::uint32_t block) {
-  sys_.pu_move(pu_id, block);
-}
-
-bool SimScenarioDriver::pu_send(std::uint32_t pu_id,
-                                const watch::PuTuning& tuning, bool use_delta) {
-  if (use_delta) return sys_.pu_delta(pu_id, tuning);
-  sys_.pu_update(pu_id, tuning);
-  return true;
-}
-
 std::pair<std::uint32_t, std::uint32_t> disclosed_range(
     const watch::QMatrix& f, std::uint32_t su_block, std::uint32_t pad) {
   std::uint32_t lo = su_block, hi = su_block + 1;
@@ -48,31 +34,92 @@ std::pair<std::uint32_t, std::uint32_t> disclosed_range(
   return {lo, hi};
 }
 
-ScenarioDriver::RequestResult SimScenarioDriver::su_request(
+// ---------------------------------------------------------------------------
+// StackScenarioDriver
+
+StackScenarioDriver::StackScenarioDriver(ServerStack& servers, ClientStack& clients,
+                                         const PisaConfig& cfg,
+                                         std::vector<watch::PuSite> sites,
+                                         const radio::PathLossModel& model,
+                                         double timeout_ms, Settle settle)
+    : servers_(servers),
+      clients_(clients),
+      watch_(cfg.watch),
+      sites_(std::move(sites)),
+      model_(model),
+      d_c_m_(watch::exclusion_radius_m(cfg.watch, model)),
+      timeout_ms_(timeout_ms),
+      settle_(std::move(settle)) {}
+
+SimScenarioDriver::SimScenarioDriver(PisaSystem& sys)
+    : StackScenarioDriver(sys.servers(), sys.clients(), sys.config(), sys.sites(),
+                          sys.model(), /*timeout_ms=*/0,
+                          [&sys](std::uint64_t) { sys.network().run(); }) {}
+
+void StackScenarioDriver::settle() {
+  if (servers_.sdc_running()) settle_(updates_);
+}
+
+void StackScenarioDriver::pu_move(std::uint32_t pu_id, std::uint32_t block) {
+  clients_.pu(pu_id).move_to(block);
+}
+
+bool StackScenarioDriver::pu_send(std::uint32_t pu_id,
+                                  const watch::PuTuning& tuning, bool use_delta) {
+  if (!clients_.send_pu(pu_id, tuning, use_delta)) return false;
+  ++updates_;
+  settle();  // fold + re-probe round done before the tick proceeds
+  return true;
+}
+
+ScenarioDriver::RequestResult StackScenarioDriver::su_request(
     const watch::SuRequest& request, std::uint32_t range_pad) {
-  const auto range =
-      disclosed_range(sys_.build_f(request), request.block.index, range_pad);
-  auto out = sys_.su_request(request, range);
+  const auto f = watch::build_su_f_matrix(watch_, sites_, request.block,
+                                          request.eirp_mw_per_channel, model_,
+                                          d_c_m_);
+  const auto p = clients_.prepare_request(
+      request.su_id, f, disclosed_range(f, request.block.index, range_pad));
+  clients_.submit(p);
   RequestResult res;
-  res.completed = out.completed();
-  res.granted = out.granted;
-  res.fast_denied = out.fast_denied;
-  res.serial = out.license.serial;
+  ClientStack::Reply reply;
+  if (!clients_.take(p.request_id, timeout_ms_, &reply))
+    return res;  // completed = false: transport failure / timeout
+  res.completed = true;
+  res.fast_denied = reply.fast_denied;  // §3.8 one-round deny: no license
+  if (reply.response) {
+    auto out = clients_.su(request.su_id)
+                   .process_response(*reply.response, servers_.sdc().license_key());
+    res.granted = out.granted;
+    res.serial = out.license.serial;
+  }
   return res;
 }
 
-void SimScenarioDriver::crash_sdc() { sys_.crash_sdc(); }
-void SimScenarioDriver::restart_sdc() { sys_.restart_sdc(); }
-bool SimScenarioDriver::sdc_running() { return sys_.sdc_running(); }
+void StackScenarioDriver::crash_sdc() {
+  settle();  // crash on a drained deployment; don't strand frames
+  servers_.crash_sdc();
+  updates_ = 0;
+}
 
-std::vector<std::uint8_t> SimScenarioDriver::exhausted_state_bytes() {
-  return sys_.sdc().state().exhausted_state_bytes();
+void StackScenarioDriver::restart_sdc() {
+  servers_.restart_sdc();
+  updates_ = 0;  // the fresh SdcServer's counters start at zero
 }
-std::uint64_t SimScenarioDriver::wal_bytes() {
-  return sys_.sdc().state().wal_bytes();
+
+bool StackScenarioDriver::sdc_running() { return servers_.sdc_running(); }
+
+// Reads settle first: post-grant budget folds re-probe after the response.
+std::vector<std::uint8_t> StackScenarioDriver::exhausted_state_bytes() {
+  settle();
+  return servers_.sdc().state().exhausted_state_bytes();
 }
-std::uint64_t SimScenarioDriver::delta_cells_folded() {
-  return sys_.sdc().state().delta_cells_folded();
+std::uint64_t StackScenarioDriver::wal_bytes() {
+  settle();
+  return servers_.sdc().state().wal_bytes();
+}
+std::uint64_t StackScenarioDriver::delta_cells_folded() {
+  settle();
+  return servers_.sdc().state().delta_cells_folded();
 }
 
 // ---------------------------------------------------------------------------

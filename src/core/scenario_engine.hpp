@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -105,9 +106,9 @@ struct ScenarioResult {
 };
 
 /// Transport-agnostic face of a deployment: the engine scripts *what*
-/// happens, a driver says *how* it reaches the entities. Implementations:
-/// SimScenarioDriver (below, over PisaSystem) and rpc::TcpScenarioDriver
-/// (net/rpc_scenario.hpp, over a real socket pair).
+/// happens, a driver says *how* it reaches the entities. Implementation:
+/// StackScenarioDriver (below); SimScenarioDriver and rpc::TcpScenarioDriver
+/// (net/rpc_scenario.hpp) supply only its settle step.
 class ScenarioDriver {
  public:
   struct RequestResult {
@@ -149,10 +150,27 @@ class ScenarioDriver {
 std::pair<std::uint32_t, std::uint32_t> disclosed_range(
     const watch::QMatrix& f, std::uint32_t su_block, std::uint32_t pad);
 
-/// Driver over the in-process simulated-network deployment.
-class SimScenarioDriver final : public ScenarioDriver {
+/// The one ScenarioDriver. Requests go out through the client stack and
+/// come back through its response registry; PU updates are built and sent
+/// by the client stack; SDC state is read from the server stack. Only the
+/// settle step depends on the transport: it brings the deployment to rest
+/// after each PU update sent, before each state read and before a crash —
+/// never around a request.
+class StackScenarioDriver : public ScenarioDriver {
  public:
-  explicit SimScenarioDriver(PisaSystem& sys) : sys_(sys) {}
+  /// Settle, given the PU updates sent since the SDC last booted. Only
+  /// called while the SDC runs.
+  using Settle = std::function<void(std::uint64_t updates)>;
+
+  /// `sites` are the receiver registrations the deployment was built with
+  /// (F models interference at the registered receivers, exactly like
+  /// PisaSystem::build_f); `model` must outlive the driver. Every SU/PU the
+  /// engine touches must already be added to `clients`. A request whose
+  /// reply does not complete within `timeout_ms` is a transport failure.
+  StackScenarioDriver(ServerStack& servers, ClientStack& clients,
+                      const PisaConfig& cfg, std::vector<watch::PuSite> sites,
+                      const radio::PathLossModel& model, double timeout_ms,
+                      Settle settle);
 
   void pu_move(std::uint32_t pu_id, std::uint32_t block) override;
   bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
@@ -167,7 +185,24 @@ class SimScenarioDriver final : public ScenarioDriver {
   std::uint64_t delta_cells_folded() override;
 
  private:
-  PisaSystem& sys_;
+  void settle();
+
+  ServerStack& servers_;
+  ClientStack& clients_;
+  watch::WatchConfig watch_;
+  std::vector<watch::PuSite> sites_;
+  const radio::PathLossModel& model_;
+  double d_c_m_;
+  double timeout_ms_;
+  Settle settle_;
+  std::uint64_t updates_ = 0;  // sent since the current SDC boot
+};
+
+/// Over the in-process simulated-network deployment: settles by draining
+/// the network.
+class SimScenarioDriver final : public StackScenarioDriver {
+ public:
+  explicit SimScenarioDriver(PisaSystem& sys);
 };
 
 class ScenarioEngine {

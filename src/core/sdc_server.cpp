@@ -546,7 +546,6 @@ void SdcServer::flush_batch() {
 }
 
 double SdcServer::watchdog_delay_us() const {
-  if (cfg_.convert_batch_watchdog_us > 0) return cfg_.convert_batch_watchdog_us;
   if (cfg_.reliability.enabled) {
     // Outlive the transport's whole retry schedule (Σ timeout·backoff^k over
     // every transmission) with 50% headroom, plus our own linger.

@@ -228,8 +228,8 @@ class SdcServer {
   /// Send staged items (up to convert_batch_max entries, always >= 1 item)
   /// as one ConvertBatchMsg and arm its loss watchdog.
   void flush_batch();
-  /// Watchdog deadline: explicit knob, else 1.5× the transport's full retry
-  /// schedule (reliable mode), else 1 s of virtual time on the perfect bus.
+  /// Watchdog deadline: 1.5× the transport's full retry schedule (reliable
+  /// mode), else 1 s of virtual time on the perfect bus.
   double watchdog_delay_us() const;
 
   PisaConfig cfg_;

@@ -16,6 +16,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// §3.8 filter false-positive target: a sizing choice only — the exact set
+/// vetoes every false positive, so it never changes a decision.
+constexpr double kFilterFpp = 1.0 / 1024.0;
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -46,13 +50,12 @@ SdcStateEngine::SdcStateEngine(const PisaConfig& cfg,
     // Per-shard filters so recovery replays each shard's own kRecExhaust
     // stream against its own table — a global filter would interleave
     // shard mutations and lose byte-identical replay.
+    // Each filter is sized for its shard's whole group-range × blocks grid,
+    // so it can always hold every cell at once.
     crypto::CuckooParams params;
-    params.fingerprint_bits = crypto::cuckoo_fingerprint_bits(
-        cfg_.denial_filter.fpp);
+    params.fingerprint_bits = crypto::cuckoo_fingerprint_bits(kFilterFpp);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      params.capacity = cfg_.denial_filter.capacity != 0
-                            ? cfg_.denial_filter.capacity
-                            : map_.size(s) * blocks;
+      params.capacity = map_.size(s) * blocks;
       shards_[s].filter =
           std::make_unique<crypto::CuckooFilter>(filter_key_, params);
     }
@@ -311,8 +314,8 @@ void SdcStateEngine::apply_exhaust(std::size_t s, std::uint32_t block,
   for (std::uint32_t g : next) {
     if (!cur.contains(g) && !sh.filter->insert(filter_item(g, block)))
       throw std::runtime_error(
-          "SdcStateEngine: cuckoo filter saturated (denial_filter.capacity "
-          "too small for the grid)");
+          "SdcStateEngine: cuckoo filter saturated below its whole-grid "
+          "capacity");
   }
   if (next.empty())
     sh.exhausted.erase(block);

@@ -1,20 +1,13 @@
-// TCP driver for the §3.9 scenario engine.
-//
-// Adapts an RpcServer + RpcClient pair to core::ScenarioDriver, so the same
-// seeded tick schedule that drives the simulated-network PisaSystem drives a
-// real socket deployment. Determinism note: client→server frames are
-// asynchronous — pu_send returns once the frame is queued, while the
-// server's dispatch thread folds it (and runs the §3.8 re-probe round the
-// fold enqueues on the same serial lane) at its own pace. To match the
-// sim's drained-network semantics the driver counts every update it puts on
-// the wire, and before any state read or request it (a) polls the SDC's
-// fold counters until that many arrived, then (b) quiesces the server's
-// dispatch lane so the probe rounds rooted in those folds have finished.
-// With that barrier, decisions and filter state are as deterministic here
-// as under the sim's network drain.
+// TCP driver for the §3.9 scenario engine: the one core::StackScenarioDriver
+// over an RpcServer's ServerStack and an RpcClient's ClientStack, with
+// TCP's own settle step. A PU frame is folded (and its §3.8 re-probe round
+// run on the same serial lane) at the server's pace, so to match the sim's
+// drained network the settle step polls the SDC's fold counter until every
+// update sent since its boot arrived, then quiesces the dispatch lane once.
+// Requests take no barrier: a quiesce pauses the lane's idle reserve
+// slices, so an extra one would eat the idle time the reserves fill in.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/scenario_engine.hpp"
@@ -24,46 +17,17 @@
 
 namespace pisa::rpc {
 
-class TcpScenarioDriver final : public core::ScenarioDriver {
+class TcpScenarioDriver final : public core::StackScenarioDriver {
  public:
   /// `sites` must be the receiver registrations the deployment was built
-  /// with (the F matrix models interference at the *registered* receiver
-  /// locations, exactly like PisaSystem::build_f). `model` must outlive the
-  /// driver. Every SU/PU the engine touches must already be added to
-  /// `client`.
+  /// with; `model` must outlive the driver. Every SU/PU the engine touches
+  /// must already be added to `client`. A settle that waits longer than
+  /// `timeout_ms` throws; a request that does, fails.
   TcpScenarioDriver(RpcServer& server, RpcClient& client,
                     const core::PisaConfig& cfg,
                     std::vector<watch::PuSite> sites,
                     const radio::PathLossModel& model,
                     double timeout_ms = 60'000.0);
-
-  void pu_move(std::uint32_t pu_id, std::uint32_t block) override;
-  bool pu_send(std::uint32_t pu_id, const watch::PuTuning& tuning,
-               bool use_delta) override;
-  RequestResult su_request(const watch::SuRequest& request,
-                           std::uint32_t range_pad) override;
-  void crash_sdc() override;
-  void restart_sdc() override;
-  bool sdc_running() override;
-  std::vector<std::uint8_t> exhausted_state_bytes() override;
-  std::uint64_t wal_bytes() override;
-  std::uint64_t delta_cells_folded() override;
-
- private:
-  /// The determinism barrier: wait until the SDC has folded every update
-  /// this driver sent since the last (re)boot, then quiesce the server's
-  /// dispatch lane so the re-probe rounds those folds enqueued are done.
-  /// Throws on timeout. No-op while the SDC is down.
-  void sync_server();
-
-  RpcServer& server_;
-  RpcClient& client_;
-  core::PisaConfig cfg_;
-  std::vector<watch::PuSite> sites_;
-  const radio::PathLossModel& model_;
-  double d_c_m_;
-  double timeout_ms_;
-  std::uint64_t expected_updates_ = 0;  // sent since the current SDC boot
 };
 
 }  // namespace pisa::rpc

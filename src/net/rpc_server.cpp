@@ -1,11 +1,5 @@
 #include "net/rpc_server.hpp"
 
-#include <chrono>
-#include <stdexcept>
-
-#include "core/messages.hpp"
-#include "crypto/key_codec.hpp"
-
 namespace pisa::rpc {
 
 RpcServer::RpcServer(const core::PisaConfig& cfg, bn::RandomSource& rng,
@@ -20,122 +14,31 @@ RpcClient::RpcClient(const core::PisaConfig& cfg,
                      crypto::PaillierPublicKey group_pk, std::string host,
                      std::uint16_t port, bn::RandomSource& rng,
                      net::TcpOptions opts)
-    : cfg_(cfg), group_pk_(std::move(group_pk)), host_(std::move(host)),
-      port_(port), rng_(rng), tcp_(opts),
-      e_matrix_(watch::make_e_matrix(cfg.watch)) {
+    : host_(std::move(host)), port_(port), tcp_(opts),
+      clients_(cfg, std::move(group_pk), rng, tcp_, {nullptr, nullptr, nullptr, /*pin_seqs=*/true}) {
   conn_id_ = tcp_.connect(host_, port_, route_names());
 }
 
 std::vector<std::string> RpcClient::route_names() const {
+  const auto& cfg = clients_.config();
   std::vector<std::string> names{"sdc", "stp"};
-  if (cfg_.query_mode == core::QueryMode::kPir)
-    for (std::size_t i = 0; i < cfg_.pir.replicas; ++i)
+  if (cfg.query_mode == core::QueryMode::kPir)
+    for (std::size_t i = 0; i < cfg.pir.replicas; ++i)
       names.push_back(pir::replica_name(i));
   return names;
 }
 
-core::SuClient& RpcClient::add_su(std::uint32_t su_id, std::size_t precompute) {
-  if (sus_.contains(su_id))
-    throw std::invalid_argument("RpcClient: duplicate SU id");
-  auto client =
-      std::make_unique<core::SuClient>(su_id, cfg_, group_pk_, rng_);
-  tcp_.register_endpoint(su_name(su_id), [this](const net::Message& msg) {
-    std::uint64_t rid;
-    bool complete = true;
-    if (msg.type == pir::kMsgPirReply) {
-      auto reply = pir::PirReplyMsg::decode(msg.payload);
-      rid = reply.request_id;
-      std::lock_guard<std::mutex> lk(rmu_);
-      auto& slot = pir_replies_[rid];
-      slot.push_back(std::move(reply));
-      complete = slot.size() >= cfg_.pir.replicas;
-    } else if (msg.type == core::kMsgFastDeny) {
-      // §3.8 one-round denial: decode() validates the fixed 32-byte shape
-      // (leakage discipline); there is no SuResponseMsg for this rid.
-      rid = core::FastDenyMsg::decode(msg.payload).request_id;
-      std::lock_guard<std::mutex> lk(rmu_);
-      fast_denied_.insert(rid);
-    } else if (msg.type == core::kMsgSuResponse) {
-      auto resp = core::SuResponseMsg::decode(msg.payload);
-      rid = resp.request_id;
-      std::lock_guard<std::mutex> lk(rmu_);
-      responses_.insert_or_assign(rid, std::move(resp));
-    } else {
-      throw std::runtime_error("SU endpoint: unexpected message " + msg.type);
-    }
-    // Probe before notify: a waiter that wakes for this id observes the
-    // load generator's completion timestamp already recorded.
-    if (complete && on_response_) on_response_(rid);
-    rcv_.notify_all();
-  });
-  core::KeyRegisterMsg reg{su_id, crypto::serialize(client->public_key())};
-  tcp_.send({su_name(su_id), "stp", core::kMsgKeyRegister, reg.encode()});
-  if (precompute > 0) client->precompute_randomizers(precompute);
-  if (cfg_.query_mode == core::QueryMode::kPir)
-    pir_clients_.emplace(
-        su_id, std::make_unique<pir::PirClient>(
-                   su_id, cfg_.pir.replicas,
-                   cfg_.watch.make_area().num_blocks(), rng_));
-  auto& ref = *client;
-  sus_.emplace(su_id, std::move(client));
-  return ref;
-}
-
-core::PuClient& RpcClient::add_pu(const watch::PuSite& site) {
-  if (pus_.contains(site.pu_id))
-    throw std::invalid_argument("RpcClient: duplicate PU id");
-  auto client = std::make_unique<core::PuClient>(
-      site, cfg_, group_pk_, e_matrix_, rng_);
-  auto& ref = *client;
-  pus_.emplace(site.pu_id, std::move(client));
-  return ref;
-}
-
-core::SuClient& RpcClient::su(std::uint32_t su_id) {
-  auto it = sus_.find(su_id);
-  if (it == sus_.end()) throw std::out_of_range("RpcClient: unknown SU");
-  return *it->second;
-}
-
-core::PuClient& RpcClient::pu(std::uint32_t pu_id) {
-  auto it = pus_.find(pu_id);
-  if (it == pus_.end()) throw std::out_of_range("RpcClient: unknown PU");
-  return *it->second;
-}
-
-void RpcClient::send_pir_updates(std::uint32_t pu_id,
-                                 const watch::PuTuning& tuning) {
-  if (cfg_.query_mode != core::QueryMode::kPir) return;
-  auto bytes = pu(pu_id).make_pir_update(tuning).encode();
-  for (std::size_t i = 0; i < cfg_.pir.replicas; ++i) {
-    net::Message m;
-    m.from = "pu_" + std::to_string(pu_id);
-    m.to = pir::replica_name(i);
-    m.type = pir::kMsgPirUpdate;
-    m.payload = bytes;
-    m.net_seq = next_pin_seq_++;
-    tcp_.send(std::move(m));
-  }
-}
-
 RpcClient::PuUpdateHandle RpcClient::pu_update(std::uint32_t pu_id,
                                                const watch::PuTuning& tuning) {
-  PuUpdateHandle h{pu_id, next_pin_seq_++,
-                   pu(pu_id).make_update(tuning).encode(group_pk_.ciphertext_bytes())};
-  resend_pu_update(h);
-  send_pir_updates(pu_id, tuning);
-  return h;
+  auto m = *clients_.send_pu(pu_id, tuning, /*delta=*/false);
+  return {pu_id, m.net_seq, std::move(m.payload)};
 }
 
 std::optional<RpcClient::PuUpdateHandle> RpcClient::pu_delta(
     std::uint32_t pu_id, const watch::PuTuning& tuning) {
-  auto delta = pu(pu_id).make_delta(tuning);
-  if (!delta) return std::nullopt;
-  PuUpdateHandle h{pu_id, next_pin_seq_++,
-                   delta->encode(group_pk_.ciphertext_bytes())};
-  resend_pu_delta(h);
-  send_pir_updates(pu_id, tuning);
-  return h;
+  auto m = clients_.send_pu(pu_id, tuning, /*delta=*/true);
+  if (!m) return std::nullopt;
+  return PuUpdateHandle{pu_id, m->net_seq, std::move(m->payload)};
 }
 
 void RpcClient::send_pinned(const PuUpdateHandle& handle, const std::string& type) {
@@ -143,105 +46,18 @@ void RpcClient::send_pinned(const PuUpdateHandle& handle, const std::string& typ
   // engine's per-PU delta_seq additionally folds each delta exactly once
   // even when a crash tore a partial application (shards re-check their
   // own applied seq).
-  tcp_.send({"pu_" + std::to_string(handle.pu_id), "sdc", type, handle.bytes,
+  tcp_.send({core::ClientStack::pu_name(handle.pu_id), "sdc", type, handle.bytes,
              handle.net_seq});
-}
-
-RpcClient::PreparedRequest RpcClient::prepare_request(
-    std::uint32_t su_id, const watch::QMatrix& f,
-    std::optional<std::pair<std::uint32_t, std::uint32_t>> range,
-    core::PrepMode mode) {
-  PreparedRequest p;
-  p.request_id = next_request_id_++;
-  p.su_id = su_id;
-  std::uint32_t lo = range ? range->first : 0;
-  std::uint32_t hi =
-      range ? range->second : static_cast<std::uint32_t>(f.blocks());
-  auto msg = su(su_id).prepare_request(f, p.request_id, lo, hi, mode);
-  p.bytes = msg.encode(group_pk_.ciphertext_bytes());
-  return p;
-}
-
-void RpcClient::submit(const PreparedRequest& req) {
-  tcp_.send({su_name(req.su_id), "sdc", core::kMsgSuRequest, req.bytes});
 }
 
 bool RpcClient::wait_response(std::uint64_t request_id,
                               core::SuResponseMsg* out, double timeout_ms,
                               bool* fast_denied) {
-  if (fast_denied != nullptr) *fast_denied = false;
-  std::unique_lock<std::mutex> lk(rmu_);
-  bool ok = rcv_.wait_for(
-      lk, std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-      [&] {
-        return responses_.contains(request_id) ||
-               fast_denied_.contains(request_id);
-      });
-  if (!ok) return false;
-  if (fast_denied_.erase(request_id) != 0) {
-    if (fast_denied != nullptr) *fast_denied = true;
-    return true;
-  }
-  auto it = responses_.find(request_id);
-  if (out != nullptr) *out = std::move(it->second);
-  responses_.erase(it);
-  return true;
-}
-
-std::size_t RpcClient::responses_pending() const {
-  std::lock_guard<std::mutex> lk(rmu_);
-  return responses_.size();
-}
-
-RpcClient::PirOutcome RpcClient::pir_request(std::uint32_t su_id,
-                                             const watch::QMatrix& f,
-                                             std::uint32_t block_lo,
-                                             std::uint32_t block_hi,
-                                             double timeout_ms) {
-  auto it = pir_clients_.find(su_id);
-  if (it == pir_clients_.end())
-    throw std::out_of_range("RpcClient: unknown SU");
-  auto& client = *it->second;
-
-  std::uint64_t rid = next_request_id_++;
-  auto queries = client.make_queries(rid, block_lo, block_hi);
-
-  PirOutcome out;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto bytes = queries[i].encode();
-    out.query_bytes += bytes.size();
-    tcp_.send({su_name(su_id), pir::replica_name(i), pir::kMsgPirQuery,
-               std::move(bytes)});
-  }
-
-  std::vector<pir::PirReplyMsg> got;
-  {
-    std::unique_lock<std::mutex> lk(rmu_);
-    bool ok = rcv_.wait_for(
-        lk,
-        std::chrono::microseconds(static_cast<std::int64_t>(timeout_ms * 1e3)),
-        [&] {
-          auto slot = pir_replies_.find(rid);
-          return slot != pir_replies_.end() &&
-                 slot->second.size() >= cfg_.pir.replicas;
-        });
-    auto slot = pir_replies_.find(rid);
-    if (slot != pir_replies_.end()) {
-      got = std::move(slot->second);
-      pir_replies_.erase(slot);
-    }
-    if (!ok) {
-      out.failure = "timed out with " + std::to_string(got.size()) + "/" +
-                    std::to_string(cfg_.pir.replicas) + " PIR replies";
-      return out;
-    }
-  }
-  for (const auto& r : got) out.reply_bytes += r.encode().size();
-
-  auto decision = client.decide(got, cfg_.watch, f, block_lo, &out.failure);
-  out.completed = decision.has_value();
-  out.granted = decision && decision->granted;
-  return out;
+  core::ClientStack::Reply reply;
+  const bool done = clients_.take(request_id, timeout_ms, &reply);
+  if (fast_denied != nullptr) *fast_denied = done && reply.fast_denied;
+  if (done && out != nullptr && reply.response) *out = std::move(*reply.response);
+  return done;
 }
 
 void RpcClient::reconnect() {

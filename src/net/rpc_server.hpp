@@ -18,35 +18,28 @@
 // this server by construction: same group key, same RSA license key, same
 // per-entity ChaCha streams.
 //
-// RpcClient is the matching client bundle: it owns the SU/PU client
-// objects, one client TcpTransport multiplexing every logical session over
-// a single connection, a response registry keyed by request id, and the
-// re-send bookkeeping (pinned net_seq, PR 2 discipline) that turns TCP's
-// at-most-once-across-resets into application-level exactly-once.
+// RpcClient is the matching client side: one client TcpTransport
+// multiplexing every logical session over a single connection, under one
+// core::ClientStack — the same SU/PU/PIR client assembly and response
+// registry PisaSystem owns — plus the re-send handles (pinned net_seq)
+// that turn TCP's at-most-once-across-resets into application-level
+// exactly-once.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bigint/random_source.hpp"
+#include "core/client_stack.hpp"
 #include "core/config.hpp"
 #include "core/messages.hpp"
-#include "core/pu_client.hpp"
 #include "core/server_stack.hpp"
-#include "core/su_client.hpp"
 #include "net/tcp_transport.hpp"
-#include "pir/pir_client.hpp"
 #include "watch/matrices.hpp"
-#include "watch/plain_sdc.hpp"
 
 namespace pisa::rpc {
 
@@ -93,6 +86,7 @@ class RpcServer {
   std::size_t reserved_factors() { return stack_.reserved_factors(); }
 
   net::TcpTransport& transport() { return tcp_; }
+  core::ServerStack& servers() { return stack_; }
 
  private:
   core::ServerStack stack_;
@@ -110,21 +104,19 @@ class RpcClient {
             std::string host, std::uint16_t port, bn::RandomSource& rng,
             net::TcpOptions opts = {});
   /// Stops the transport first: the dispatch thread's SU handlers use the
-  /// response registry below, which must outlive every handler call.
+  /// stack's response registry, which must outlive every handler call.
   ~RpcClient() { tcp_.stop(); }
 
-  /// Create an SU client, register "su_<id>" as a local endpoint feeding
-  /// the response registry, and upload pk_j to the STP (paper §III-C). The
-  /// registration frame precedes any request on the same connection, so
-  /// FIFO ordering makes the directory entry visible before first use.
-  core::SuClient& add_su(std::uint32_t su_id, std::size_t precompute = 0);
+  /// ClientStack::add_su / add_pu over the socket. An SU's key-registration
+  /// frame precedes its requests on the one connection, so FIFO ordering
+  /// makes the directory entry visible before first use.
+  core::SuClient& add_su(std::uint32_t su_id, std::size_t precompute = 0) {
+    return clients_.add_su(su_id, precompute);
+  }
+  core::PuClient& add_pu(const watch::PuSite& site) { return clients_.add_pu(site); }
 
-  /// Create a PU client for `site` with the shared public E matrix, exactly
-  /// like PisaSystem (a mobile PU needs the full matrix).
-  core::PuClient& add_pu(const watch::PuSite& site);
-
-  core::SuClient& su(std::uint32_t su_id);
-  core::PuClient& pu(std::uint32_t pu_id);
+  core::SuClient& su(std::uint32_t su_id) { return clients_.su(su_id); }
+  core::PuClient& pu(std::uint32_t pu_id) { return clients_.pu(pu_id); }
 
   /// One PU tuning update, sent with a pinned net_seq so the exact frame
   /// can be re-sent after a connection reset: the SDC's (sender, seq)
@@ -151,22 +143,20 @@ class RpcClient {
 
   /// An encrypted request, built off the clock: benches prepare every
   /// session's request first, then pour the whole burst down the pipe.
-  struct PreparedRequest {
-    std::uint64_t request_id = 0;
-    std::uint32_t su_id = 0;
-    std::vector<std::uint8_t> bytes;
-  };
+  using PreparedRequest = core::ClientStack::PreparedRequest;
   PreparedRequest prepare_request(
       std::uint32_t su_id, const watch::QMatrix& f,
       std::optional<std::pair<std::uint32_t, std::uint32_t>> range =
           std::nullopt,
-      core::PrepMode mode = core::PrepMode::kFresh);
+      core::PrepMode mode = core::PrepMode::kFresh) {
+    return clients_.prepare_request(su_id, f, range, mode);
+  }
 
   /// Fire one prepared request at the SDC (does not consume the handle —
   /// re-submitting the same bytes after a reset is the retry path; the SDC
   /// drops duplicate request ids while the original is still pending and
   /// re-serves completed ones with a fresh serial).
-  void submit(const PreparedRequest& req);
+  void submit(const PreparedRequest& req) { clients_.submit(req); }
 
   /// Block until the response for `request_id` arrives (dispatch thread
   /// fills the registry) or `timeout_ms` passes. Returns false on timeout.
@@ -177,35 +167,23 @@ class RpcClient {
   bool wait_response(std::uint64_t request_id, core::SuResponseMsg* out,
                      double timeout_ms, bool* fast_denied = nullptr);
 
-  /// Responses received so far (registry size; drained by wait_response).
-  std::size_t responses_pending() const;
-
-  /// Per-response completion probe for load generators: called on the
-  /// dispatch thread the moment each SU response lands in the registry —
-  /// before any wait_response waiter wakes — so per-request completion
-  /// timestamps are exact even when the bench drains waiters lazily. Set
-  /// it before traffic starts; installation is not synchronized against
-  /// in-flight deliveries.
+  /// Completion probe for load generators (the registry's arrival hook):
+  /// called on the dispatch thread as each request completes, before any
+  /// wait_response waiter wakes, so completion timestamps are exact even
+  /// when waiters drain lazily. Set it before traffic starts.
   void set_response_hook(std::function<void(std::uint64_t)> hook) {
-    on_response_ = std::move(hook);
+    clients_.set_arrival_hook(std::move(hook));
   }
 
-  /// §3.10 PIR round trip over the socket: split [block_lo, block_hi) into
-  /// XOR shares, fire one query per replica, wait for all ℓ replies (or
-  /// `timeout_ms`), reconstruct and decide locally against `f`.
-  struct PirOutcome {
-    /// False when a reply set never completed (replica crashed / timeout)
-    /// or the replicas' versions diverged — `failure` says which. The
-    /// decision fields are only meaningful when true.
-    bool completed = false;
-    bool granted = false;
-    std::string failure;
-    std::size_t query_bytes = 0;  ///< Σ encoded queries (SU → replicas)
-    std::size_t reply_bytes = 0;  ///< Σ encoded replies (replicas → SU)
-  };
+  /// §3.10 PIR round trip over the socket (ClientStack::pir_request): XOR
+  /// shares to every replica, wait for all ℓ replies (or `timeout_ms`),
+  /// reconstruct and decide locally against `f`.
+  using PirOutcome = core::ClientStack::PirOutcome;
   PirOutcome pir_request(std::uint32_t su_id, const watch::QMatrix& f,
                          std::uint32_t block_lo, std::uint32_t block_hi,
-                         double timeout_ms);
+                         double timeout_ms) {
+    return clients_.pir_request(su_id, f, block_lo, block_hi, timeout_ms);
+  }
 
   /// Tear the connection down mid-session and dial again (reset
   /// simulation). Unflushed frames on the old connection are dropped —
@@ -213,47 +191,21 @@ class RpcClient {
   void reconnect();
 
   net::TcpTransport& transport() { return tcp_; }
+  core::ClientStack& clients() { return clients_; }
 
  private:
-  static std::string su_name(std::uint32_t id) {
-    return "su_" + std::to_string(id);
-  }
-
   /// Logical peers multiplexed over the one connection: sdc + stp, plus
   /// every PIR replica in PIR mode.
   std::vector<std::string> route_names() const;
 
-  /// Send a PU frame under its pinned net_seq (first send or re-send).
+  /// Re-send a PU frame under its pinned net_seq.
   void send_pinned(const PuUpdateHandle& handle, const std::string& type);
 
-  /// PIR mode: ship the PU's current plaintext column to every replica
-  /// (pinned seqs — replica-side dedup keeps versions in lockstep under
-  /// resends). No-op in Paillier mode.
-  void send_pir_updates(std::uint32_t pu_id, const watch::PuTuning& tuning);
-
-  core::PisaConfig cfg_;
-  crypto::PaillierPublicKey group_pk_;
   std::string host_;
   std::uint16_t port_;
-  bn::RandomSource& rng_;
   net::TcpTransport tcp_;
   std::uint64_t conn_id_ = 0;
-  watch::QMatrix e_matrix_;
-
-  std::map<std::uint32_t, std::unique_ptr<core::SuClient>> sus_;
-  std::map<std::uint32_t, std::unique_ptr<core::PuClient>> pus_;
-  std::map<std::uint32_t, std::unique_ptr<pir::PirClient>> pir_clients_;
-
-  std::uint64_t next_request_id_ = 1;
-  std::uint64_t next_pin_seq_ = 1;  // pinned seqs for re-sendable frames
-
-  mutable std::mutex rmu_;
-  std::condition_variable rcv_;
-  std::map<std::uint64_t, core::SuResponseMsg> responses_;
-  std::set<std::uint64_t> fast_denied_;  // rids answered by FastDenyMsg
-  /// PIR replies by request id (complete at cfg.pir.replicas entries).
-  std::map<std::uint64_t, std::vector<pir::PirReplyMsg>> pir_replies_;
-  std::function<void(std::uint64_t)> on_response_;
+  core::ClientStack clients_;  // after tcp_: its handlers run on tcp_
 };
 
 }  // namespace pisa::rpc

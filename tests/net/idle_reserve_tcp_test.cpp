@@ -129,6 +129,84 @@ TEST_P(TcpIdleReserves, PausedRequestsServedFromReservesMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(PackSlots, TcpIdleReserves,
                          ::testing::Values(std::size_t{1}, std::size_t{4}));
 
+// G̃ across transports: the same seeded request sequence on the simulated
+// network and over TCP yields the same eq. (17) response ciphertext byte
+// for byte, also once the TCP server serves requests from factors its
+// dispatch lane queued in idle time. The SU decrypts G̃ to the same
+// signature under any r^n factor, so suites comparing decisions, licenses
+// and signatures cannot tell a reserve that hands its factors out in
+// another order than the inline draws; this one can. The sim side is read
+// straight from its ClientStack's response registry.
+class GTildeAcrossTransports : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GTildeAcrossTransports, ResponseCiphertextMatchesSimulatedOracle) {
+  const std::size_t k = GetParam();
+  const auto cfg = reserve_config(k, 768);
+  radio::ExtendedHataModel model{600.0, 30.0, 10.0};
+
+  crypto::ChaChaRng sim_rng{std::uint64_t{0x67E1}};
+  core::PisaSystem sim{cfg, sites(), model, sim_rng};
+  crypto::ChaChaRng tcp_rng{std::uint64_t{0x67E1}};
+  rpc::RpcServer server{cfg, tcp_rng};
+  rpc::RpcClient client{cfg, server.group_key(), "127.0.0.1", server.port(),
+                        tcp_rng};
+  for (const auto& site : sites()) client.add_pu(site);
+  for (std::uint32_t su : {1u, 2u}) {
+    sim.add_su(su);
+    client.add_su(su);
+  }
+  const watch::PuTuning t0{ChannelId{1}, 2e-6};
+  sim.pu_update(0, t0);
+  client.pu_update(0, t0);
+
+  const std::vector<watch::SuRequest> reqs{
+      {1, BlockId{1}, std::vector<double>(cfg.watch.channels, 100.0)},
+      {2, BlockId{4}, std::vector<double>(cfg.watch.channels, 1e-4)},
+      {2, BlockId{0}, std::vector<double>(cfg.watch.channels, 100.0)},
+      {1, BlockId{3}, std::vector<double>(cfg.watch.channels, 1e-4)},
+      {1, BlockId{5}, std::vector<double>(cfg.watch.channels, 1e-4)},
+      {2, BlockId{1}, std::vector<double>(cfg.watch.channels, 100.0)},
+      {1, BlockId{0}, std::vector<double>(cfg.watch.channels, 100.0)},
+      {2, BlockId{2}, std::vector<double>(cfg.watch.channels, 1e-4)},
+  };
+  const std::size_t entries =
+      (cfg.watch.channels + k - 1) / k * cfg.watch.grid_rows * cfg.watch.grid_cols;
+  int grants = 0, denies = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "k=" << k << " request " << i);
+    const auto& r = reqs[i];
+    // From the fifth request on both SUs have come back, so the pause lets
+    // the idle slices queue several factors per SU at the STP and the SDC.
+    if (i >= 4) {
+      ASSERT_TRUE(wait_reserved(server, 2 * (entries + 1)))
+          << "idle slices never filled the reserves";
+    }
+
+    const auto f = sim.build_f(r);
+    auto sim_req = sim.clients().prepare_request(r.su_id, f);
+    sim.clients().submit(sim_req);
+    core::ClientStack::Reply sim_reply;
+    ASSERT_TRUE(sim.clients().take(sim_req.request_id, 0, &sim_reply));
+    ASSERT_TRUE(sim_reply.response.has_value());
+
+    auto tcp_req = client.prepare_request(r.su_id, f);
+    EXPECT_EQ(tcp_req.bytes, sim_req.bytes) << "request bytes diverged";
+    client.submit(tcp_req);
+    core::SuResponseMsg resp;
+    ASSERT_TRUE(client.wait_response(tcp_req.request_id, &resp, 60000));
+    EXPECT_EQ(resp.g, sim_reply.response->g)
+        << "G̃ over TCP must equal the simulated G̃ byte for byte";
+    (client.su(r.su_id).process_response(resp, server.license_key()).granted
+         ? grants
+         : denies)++;
+  }
+  EXPECT_GT(grants, 0);
+  EXPECT_GT(denies, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(PackSlots, GTildeAcrossTransports,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}));
+
 // A server destroyed, or its SDC crashed and restarted, while idle slices
 // are filling reserves: the destructor's stop() and crash_sdc() each wait
 // for the running slice, so no slice touches a dead entity. 1024-bit keys
